@@ -63,11 +63,9 @@ from .exactnum import (
 )
 from .groups import (
     CRTMap,
-    CyclicFactor,
-    GroupSpec,
-    PrimaryDecomposition,
+    Splitting,
     crt_map,
-    primary_decompose,
+    split_group,
     split_variable,
     wavelength_reduce,
 )

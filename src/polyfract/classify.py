@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
 from .errors import InfiniteGroup, NotCyclic, NotPolyfractal, TooLarge
-from .exactnum import Residue, prime_factors, prime_part
-from .groups import GroupSpec, crt_map, merge_variables
+from .exactnum import Residue
+from .groups import Splitting, merge_variables, split_group
 from .lagrange import interpolate_prime_power
 from .multi import MultiPolyfract
 from .uni import RationalPoly, UniPolyfract
@@ -27,7 +27,6 @@ from .uni import RationalPoly, UniPolyfract
 __all__ = [
     "ClassificationResult",
     "Counterexample",
-    "SplitGroup",
     "Witness",
     "brute_force_polyfractal",
     "count_polyfractal",
@@ -40,71 +39,19 @@ __all__ = [
 DEFAULT_MAX_SEARCH = 1_000_000
 
 
-@dataclass(frozen=True)
-class SplitGroup:
-    """Block-major prime-power splitting of a product of cycles.
-
-    ``parts[i][j]`` is the p_i-part of the j-th modulus; flattened
-    coordinates are ordered block-major, i.e. position i*n + j holds the
-    p_i-part of coordinate j.
-    """
-
-    spec: GroupSpec
-    primes: tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...]
-    crts: tuple
-
-    @property
-    def width(self) -> int:
-        return len(self.spec.moduli)
-
-    @property
-    def flat_moduli(self) -> tuple[int, ...]:
-        return tuple(m for row in self.parts for m in row)
-
-    def split(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            x[j] % self.parts[i][j]
-            for i in range(len(self.primes))
-            for j in range(self.width)
-        )
-
-    def unsplit(self, coords: Sequence[int]) -> tuple[int, ...]:
-        n = self.width
-        out = []
-        for j, crt in enumerate(self.crts):
-            if crt is None:
-                out.append(0)
-            else:
-                col = [coords[i * n + j] for i in range(len(self.primes))]
-                out.append(crt.combine(col))
-        return tuple(out)
+@lru_cache(maxsize=256)
+def _split_group(domain_moduli: tuple[int, ...],
+                 codomain_moduli: tuple[int, ...]) -> tuple[Splitting, Splitting]:
+    """Splittings of a domain and a codomain over their shared primes."""
+    if 0 in domain_moduli or 0 in codomain_moduli:
+        raise InfiniteGroup("classification requires finite groups")
+    both = split_group(domain_moduli + codomain_moduli)
+    n = len(domain_moduli)
+    return both.columns(0, n), both.columns(n, both.width)
 
 
-@lru_cache(maxsize=None)
-def _split_group(spec: GroupSpec, primes: tuple[int, ...]) -> SplitGroup:
-    parts = tuple(
-        tuple(prime_part(q, p) for q in spec.moduli) for p in primes
-    )
-    crts = tuple(
-        crt_map(q, primes) if q >= 2 else None for q in spec.moduli
-    )
-    return SplitGroup(spec, primes, parts, crts)
-
-
-def _shared_primes(domain: GroupSpec, codomain: GroupSpec) -> tuple[int, ...]:
-    found: set[int] = set(prime_factors(domain.order))
-    found.update(prime_factors(codomain.order))
-    return tuple(sorted(found))
-
-
-def _splits(f: FiniteFn) -> tuple[SplitGroup, SplitGroup]:
-    if any(r == 0 for r in f.codomain_moduli):
-        raise InfiniteGroup("classification requires finite codomains")
-    domain = GroupSpec(f.domain_moduli)
-    codomain = GroupSpec(f.codomain_moduli)
-    primes = _shared_primes(domain, codomain)
-    return _split_group(domain, primes), _split_group(codomain, primes)
+def _splits(f: FiniteFn) -> tuple[Splitting, Splitting]:
+    return _split_group(f.domain_moduli, f.codomain_moduli)
 
 
 @dataclass(frozen=True)
@@ -128,22 +75,13 @@ class Witness:
     """
 
     polyfract: MultiPolyfract
-    domain: SplitGroup
-    codomain: SplitGroup
+    domain: Splitting
+    codomain: Splitting
 
     def evaluate(self, x: Sequence[int]) -> tuple[Residue, ...]:
-        coords = self.domain.split(x)
-        vals = self.polyfract.evaluate(coords)
-        t = self.codomain.width
-        out = []
-        for k, r in enumerate(self.codomain.spec.moduli):
-            crt = self.codomain.crts[k]
-            if crt is None:
-                out.append(Residue(0, r))
-            else:
-                col = [vals[i * t + k].value for i in range(len(self.codomain.primes))]
-                out.append(Residue(crt.combine(col), r))
-        return tuple(out)
+        vals = self.polyfract.evaluate(self.domain.split(x))
+        out = self.codomain.unsplit([v.value for v in vals])
+        return tuple(Residue(v, r) for v, r in zip(out, self.codomain.moduli))
 
 
 @dataclass(frozen=True)
@@ -161,13 +99,11 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
     within a group yields the reported counterexample.
     """
     dom, cod = _splits(f)
-    n = dom.width
-    t = cod.width
     for i, p in enumerate(dom.primes):
         seen: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for x in f.points():
-            key = tuple(x[j] % dom.parts[i][j] for j in range(n))
-            out = tuple(f.value(x)[k] % cod.parts[i][k] for k in range(t))
+            key = dom.block(i, x)
+            out = cod.block(i, f.value(x))
             if key in seen:
                 first, expected = seen[key]
                 if expected != out:
@@ -185,16 +121,8 @@ def counterexample_is_valid(f: FiniteFn, ce: Counterexample) -> bool:
     if ce.prime not in dom.primes:
         return False
     i = dom.primes.index(ce.prime)
-    same_block = all(
-        a % dom.parts[i][j] == b % dom.parts[i][j]
-        for j, (a, b) in enumerate(zip(ce.first, ce.second))
-    )
-    ya, yb = f.value(ce.first), f.value(ce.second)
-    differ = any(
-        a % cod.parts[i][k] != b % cod.parts[i][k]
-        for k, (a, b) in enumerate(zip(ya, yb))
-    )
-    return same_block and differ
+    return (dom.block(i, ce.first) == dom.block(i, ce.second)
+            and cod.block(i, f.value(ce.first)) != cod.block(i, f.value(ce.second)))
 
 
 def represent(f: FiniteFn) -> Witness:
@@ -260,37 +188,24 @@ def represent_univariate(f: FiniteFn) -> tuple[UniPolyfract, RationalPoly]:
     witness = represent(f)
     merged = merge_variables(witness.polyfract)
     cod = witness.codomain
-    r = cod.spec.moduli[0]
-    crt = cod.crts[0]
-    coeffs = []
     term_map = merged.term_map()
     max_deg = max((exp[0] for exp, _ in merged.terms), default=-1)
-    for d in range(max_deg + 1):
-        col = term_map.get((d,), (0,) * len(cod.primes))
-        coeffs.append(crt.combine(list(col)) if crt is not None else 0)
-    poly = UniPolyfract(r, tuple(coeffs))
+    zero = (0,) * len(cod.primes)
+    coeffs = tuple(
+        cod.unsplit(term_map.get((d,), zero))[0] for d in range(max_deg + 1)
+    )
+    poly = UniPolyfract(cod.moduli[0], coeffs)
     return poly, poly.to_rational(lift="balanced")
 
 
-def count_polyfractal(domain: GroupSpec | Sequence[int],
-                      codomain: GroupSpec | Sequence[int]) -> int:
+def count_polyfractal(domain: Sequence[int], codomain: Sequence[int]) -> int:
     """Number of polyfractal maps: the product over primes of
     |B_p| ** |A_p| for the primary components A_p, B_p."""
-    for spec in (domain, codomain):
-        moduli = spec.moduli if isinstance(spec, GroupSpec) else tuple(spec)
-        if any(m == 0 for m in moduli):
-            raise InfiniteGroup("counting requires finite groups")
-    a = domain if isinstance(domain, GroupSpec) else GroupSpec(tuple(domain))
-    b = codomain if isinstance(codomain, GroupSpec) else GroupSpec(tuple(codomain))
-    total = 1
-    for p in _shared_primes(a, b):
-        a_p = prod(prime_part(q, p) for q in a.moduli)
-        b_p = prod(prime_part(r, p) for r in b.moduli)
-        total *= b_p**a_p
-    return total
+    a, b = _split_group(tuple(domain), tuple(codomain))
+    return prod(prod(b_p) ** prod(a_p) for a_p, b_p in zip(a.parts, b.parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _representable_tables(q: int, r: int, bound: int) -> frozenset[tuple[int, ...]]:
     """All value tables of q-periodic polyfracts over Z_r, by enumeration.
 

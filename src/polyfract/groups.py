@@ -1,14 +1,15 @@
 """Finite abelian groups as products of cycles, and their prime splittings.
 
-Provides the Sylow-style primary decomposition of a product of cyclic
-groups, explicit Chinese Remainder isomorphisms with stored Bezout
-multipliers, the variable splitting isomorphism for polyfracts over
-product codomains, and wavelength reduction of periodic polyfracts.
+Provides explicit Chinese Remainder isomorphisms with stored Bezout
+multipliers, the block-major primary splitting of a product of cyclic
+groups built on them, the variable splitting isomorphism for polyfracts
+over product codomains, and wavelength reduction of periodic polyfracts.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 from typing import Sequence
 
 from .calculus import hrycaj_periodicity
@@ -19,87 +20,13 @@ from .uni import UniPolyfract
 
 __all__ = [
     "CRTMap",
-    "CyclicFactor",
-    "GroupSpec",
-    "PrimaryDecomposition",
+    "Splitting",
     "crt_map",
     "merge_variables",
-    "primary_decompose",
+    "split_group",
     "split_variable",
     "wavelength_reduce",
 ]
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A finite commutative group given as an ordered product of cycles."""
-
-    moduli: tuple[int, ...]
-
-    def __post_init__(self):
-        moduli = tuple(int(q) for q in self.moduli)
-        if any(q < 1 for q in moduli):
-            raise ValueError("moduli must be >= 1")
-        object.__setattr__(self, "moduli", moduli)
-
-    @property
-    def order(self) -> int:
-        return prod(self.moduli)
-
-
-@dataclass(frozen=True)
-class CyclicFactor:
-    """A prime-power cyclic factor split off one original modulus."""
-
-    modulus: int
-    source: int
-    cofactor: int
-
-
-@dataclass(frozen=True)
-class PrimaryDecomposition:
-    """Per-prime grouping of the prime-power factors of a GroupSpec.
-
-    ``components[i]`` lists, for prime ``primes[i]``, one factor per
-    original modulus; factors of modulus 1 are materialized so that every
-    prime sees the same factor layout.
-    """
-
-    primes: tuple[int, ...]
-    components: tuple[tuple[CyclicFactor, ...], ...]
-
-    def component_order(self, i: int) -> int:
-        return prod(f.modulus for f in self.components[i])
-
-
-def primary_decompose(group: GroupSpec,
-                      primes: Sequence[int] | None = None) -> PrimaryDecomposition:
-    """Split every modulus into prime-power factors, grouped by prime.
-
-    ``primes`` may extend the default list (the prime divisors of the
-    group order) so that several groups share one factor layout; the
-    extra factors are trivial.
-    """
-    if primes is None:
-        found: set[int] = set()
-        for q in group.moduli:
-            found.update(prime_factors(q))
-        primes = sorted(found)
-    else:
-        primes = sorted(set(primes))
-        needed = set()
-        for q in group.moduli:
-            needed.update(prime_factors(q))
-        if not needed <= set(primes):
-            raise ValueError(f"prime list must cover {sorted(needed)}")
-    components = []
-    for p in primes:
-        factors = []
-        for j, q in enumerate(group.moduli):
-            part = prime_part(q, p)
-            factors.append(CyclicFactor(part, j, q // part))
-        components.append(tuple(factors))
-    return PrimaryDecomposition(tuple(primes), tuple(components))
 
 
 @dataclass(frozen=True)
@@ -136,6 +63,20 @@ class CRTMap:
         return total % r
 
 
+def _covering_primes(moduli: Sequence[int],
+                     primes: Sequence[int] | None) -> tuple[int, ...]:
+    """The sorted prime list of a splitting: ``primes``, checked to cover
+    every prime divisor of the moduli, or those divisors themselves."""
+    needed: set[int] = set()
+    for q in moduli:
+        needed.update(prime_factors(q))
+    if primes is None:
+        return tuple(sorted(needed))
+    if not needed <= set(primes):
+        raise ValueError(f"prime list must cover {sorted(needed)}")
+    return tuple(sorted(set(primes)))
+
+
 def crt_map(r: int, primes: Sequence[int] | None = None) -> CRTMap:
     """CRT splitting of Z_r into prime-power cycles, r >= 2.
 
@@ -144,8 +85,7 @@ def crt_map(r: int, primes: Sequence[int] | None = None) -> CRTMap:
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    decomp = primary_decompose(GroupSpec((r,)), primes)
-    factors = tuple(comp[0].modulus for comp in decomp.components)
+    factors = tuple(prime_part(r, p) for p in _covering_primes((r,), primes))
     cofactors = [r // f for f in factors]
     multipliers = [
         pow(m % f, -1, f) if f > 1 else 0 for m, f in zip(cofactors, factors)
@@ -157,6 +97,79 @@ def crt_map(r: int, primes: Sequence[int] | None = None) -> CRTMap:
             break
     assert sum(s * m for s, m in zip(multipliers, cofactors)) == 1
     return CRTMap(r, factors, tuple(multipliers))
+
+
+@dataclass(frozen=True)
+class Splitting:
+    """Block-major prime-power splitting of a product of cycles.
+
+    ``parts[i][j]`` is the p_i-part of the j-th modulus q_j and
+    ``crts[j]`` is the CRT map of q_j over ``primes`` (None when q_j = 1).
+    Flattened coordinates are ordered block-major: position i*n + j holds
+    the p_i-part of coordinate j.
+    """
+
+    moduli: tuple[int, ...]
+    primes: tuple[int, ...]
+    parts: tuple[tuple[int, ...], ...]
+    crts: tuple[CRTMap | None, ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.moduli)
+
+    @property
+    def flat_moduli(self) -> tuple[int, ...]:
+        return tuple(m for row in self.parts for m in row)
+
+    def block(self, i: int, x: Sequence[int]) -> tuple[int, ...]:
+        """The p_i-block of a point: each coordinate reduced mod its p_i-part."""
+        return tuple(a % m for a, m in zip(x, self.parts[i]))
+
+    def split(self, x: Sequence[int]) -> tuple[int, ...]:
+        if len(x) != self.width:
+            raise ArityMismatch(f"expected {self.width} coordinates, got {len(x)}")
+        return tuple(c for i in range(len(self.primes)) for c in self.block(i, x))
+
+    def unsplit(self, coords: Sequence[int]) -> tuple[int, ...]:
+        n = self.width
+        return tuple(
+            0 if crt is None else crt.combine(coords[j::n])
+            for j, crt in enumerate(self.crts)
+        )
+
+    def columns(self, start: int, stop: int) -> Splitting:
+        """The splitting of factors start..stop-1 over the same primes."""
+        return Splitting(
+            self.moduli[start:stop],
+            self.primes,
+            tuple(row[start:stop] for row in self.parts),
+            self.crts[start:stop],
+        )
+
+
+def split_group(moduli: Sequence[int],
+                primes: Sequence[int] | None = None) -> Splitting:
+    """Split every modulus into its prime-power parts, grouped by prime.
+
+    Moduli must be integers >= 1.  ``primes`` may extend the default list
+    (the prime divisors of the moduli) so that several groups share one
+    layout; the extra parts are trivial.
+    """
+    checked = []
+    for q in moduli:
+        try:
+            q = operator.index(q)
+        except TypeError:
+            raise ValueError(f"modulus {q!r} is not an integer") from None
+        if q < 1:
+            raise ValueError("moduli must be >= 1")
+        checked.append(q)
+    moduli = tuple(checked)
+    primes = _covering_primes(moduli, primes)
+    parts = tuple(tuple(prime_part(q, p) for q in moduli) for p in primes)
+    crts = tuple(crt_map(q, primes) if q > 1 else None for q in moduli)
+    return Splitting(moduli, primes, parts, crts)
 
 
 def split_variable(p: MultiPolyfract, q1: int, q2: int) -> MultiPolyfract:

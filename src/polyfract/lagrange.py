@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .calculus import FiniteFn
+from .calculus import FiniteFn, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
 from .exactnum import Residue, binom, is_prime, prime_factors
 from .multi import MultiPolyfract
@@ -54,7 +54,7 @@ def lagrange_polyfract(p: int, alpha: int, beta: int, x0: int) -> UniPolyfract:
         raise ValueError("alpha and beta must be >= 1")
     q = p**alpha
     r = p**beta
-    d = q - 1 + (beta - 1) * (p - 1) * p ** (alpha - 1)
+    d = periodic_degree_bound(q, r)
     coeffs = tuple(cofract(delta, q, r, delta - x0).value for delta in range(d + 1))
     return UniPolyfract(r, coeffs)
 
@@ -76,14 +76,6 @@ def degree_bound(p: int, beta: int, alphas: Sequence[int]) -> int:
         raise ValueError("alphas must be >= 1")
     n = len(alphas)
     return sum(p**a for a in alphas) - n + (beta - 1) * (p - 1) * p ** (max(alphas) - 1)
-
-
-def _variable_bound(p: int, beta: int, q: int) -> int:
-    """Per-variable interpolation support bound; 0 for a trivial factor."""
-    if q == 1:
-        return 0
-    alpha = prime_factors(q)[p]
-    return q - 1 + (beta - 1) * (p - 1) * p ** (alpha - 1)
 
 
 def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
@@ -110,13 +102,13 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     rfac = prime_factors(r) if r else {}
     if len(rfac) != 1:
         raise BadCodomain(f"codomain modulus {r} is not a prime power")
-    p, beta = next(iter(rfac.items()))
+    p = next(iter(rfac))
     if domain_primes and domain_primes != {p}:
         raise BadCodomain(
             f"codomain prime {p} differs from domain prime {domain_primes.pop()}"
         )
 
-    bounds = [_variable_bound(p, beta, q) for q in f.domain_moduli]
+    bounds = [periodic_degree_bound(q, r) for q in f.domain_moduli]
     tables = []
     for q, d in zip(f.domain_moduli, bounds):
         tables.append([

@@ -32,7 +32,7 @@ __all__ = [
 _MPoly = dict
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _monofract_monomials(exps: tuple[int, ...]) -> tuple:
     """Monomial expansion of C(X_1,e_1)...C(X_n,e_n) as (exp, coeff) pairs."""
     acc = {(): Fraction(1)}

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def binom_poly(delta: int) -> tuple[Fraction, ...]:
     """Monomial coefficients (constant term first) of C(X, delta) over Q."""
     coeffs = [1]

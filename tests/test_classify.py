@@ -17,6 +17,7 @@ from polyfract import (
     represent_univariate,
 )
 from polyfract.errors import (
+    ArityMismatch,
     InfiniteGroup,
     NotCyclic,
     NotPolyfractal,
@@ -126,6 +127,14 @@ class TestRepresent:
         w = represent(f)
         for x in range(50):
             assert w.evaluate((x,)) == (Residue(f.values[x][0], 12),)
+
+    def test_witness_rejects_wrong_arity(self):
+        w = represent(FiniteFn.univariate(12, 6, [x * x % 6 for x in range(12)]))
+        assert w.evaluate((5,)) == (Residue(1, 6),)
+        with pytest.raises(ArityMismatch):
+            w.evaluate((5, 99, 7))
+        with pytest.raises(ArityMismatch):
+            w.evaluate(())
 
     def test_not_polyfractal_raises(self):
         f = FiniteFn.univariate(50, 12, [[0, 1][x % 2] for x in range(50)])
@@ -275,6 +284,12 @@ class TestCount:
     def test_zero_modulus_rejected(self):
         with pytest.raises(InfiniteGroup):
             count_polyfractal([4], [0])
+
+    def test_non_integral_modulus_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            count_polyfractal([2.5], [2])
+        with pytest.raises(ValueError, match="moduli must be >= 1"):
+            count_polyfractal([4], [-3])
 
 
 class TestBruteForce:

@@ -1,11 +1,10 @@
-"""Primary decomposition, CRT splitting, variable splitting, wavelengths."""
+"""Primary splitting, CRT maps, variable splitting, wavelengths."""
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfract import (
-    GroupSpec,
     MultiPolyfract,
     Residue,
     UniPolyfract,
@@ -13,49 +12,104 @@ from polyfract import (
     hrycaj_periodicity,
     interpolate_prime_power,
     merge_variables,
-    primary_decompose,
+    prime_factors,
+    split_group,
     split_variable,
     wavelength_reduce,
 )
 from polyfract.calculus import FiniteFn
-from polyfract.errors import CoprimalityViolation, ModulusMismatch, NotPeriodic
+from polyfract.errors import (
+    ArityMismatch,
+    CoprimalityViolation,
+    ModulusMismatch,
+    NotPeriodic,
+)
 
 
 class TestPrimaryDecompose:
+    """split_group: per-prime parts of every modulus, block-major."""
+
     def test_fifty(self):
-        dec = primary_decompose(GroupSpec((50,)))
-        assert dec.primes == (2, 5)
-        assert [c[0].modulus for c in dec.components] == [2, 25]
-        assert [c[0].cofactor for c in dec.components] == [25, 2]
+        s = split_group((50,))
+        assert s.primes == (2, 5)
+        assert s.parts == ((2,), (25,))
+        assert s.crts[0].factors == (2, 25)
+        assert [50 // m for m in s.flat_moduli] == [25, 2]
 
     def test_twelve(self):
-        dec = primary_decompose(GroupSpec((12,)))
-        assert dec.primes == (2, 3)
-        assert [c[0].modulus for c in dec.components] == [4, 3]
+        s = split_group((12,))
+        assert s.primes == (2, 3)
+        assert s.flat_moduli == (4, 3)
 
     def test_prime_is_its_own_factor(self):
-        dec = primary_decompose(GroupSpec((7,)))
-        assert dec.primes == (7,)
-        assert dec.components[0][0].modulus == 7
+        s = split_group((7,))
+        assert s.primes == (7,)
+        assert s.parts == ((7,),)
 
     def test_extended_prime_list_materializes_trivial_factors(self):
-        dec = primary_decompose(GroupSpec((50,)), primes=(2, 3, 5))
-        assert dec.primes == (2, 3, 5)
-        assert [c[0].modulus for c in dec.components] == [2, 1, 25]
-        assert dec.component_order(1) == 1
+        s = split_group((50,), primes=(2, 3, 5))
+        assert s.primes == (2, 3, 5)
+        assert s.flat_moduli == (2, 1, 25)
+        assert math.prod(s.parts[1]) == 1
+        assert s.crts[0].factors == (2, 1, 25)
 
     def test_product_group(self):
-        dec = primary_decompose(GroupSpec((4, 6)))
-        assert dec.primes == (2, 3)
-        assert [f.modulus for f in dec.components[0]] == [4, 2]
-        assert [f.modulus for f in dec.components[1]] == [1, 3]
-        # factor product recovers the group order
-        total = math.prod(f.modulus for comp in dec.components for f in comp)
-        assert total == GroupSpec((4, 6)).order
+        s = split_group((4, 6))
+        assert s.primes == (2, 3)
+        assert s.parts == ((4, 2), (1, 3))
+        assert s.width == 2
+        # the parts multiply back to the group order
+        assert math.prod(s.flat_moduli) == 24
 
     def test_insufficient_prime_list_rejected(self):
         with pytest.raises(ValueError):
-            primary_decompose(GroupSpec((12,)), primes=(2,))
+            split_group((12,), primes=(2,))
+
+
+def moduli_with_primes():
+    """Moduli tuples (1s included) with a prime list covering them."""
+    return st.lists(st.integers(1, 60), max_size=4).flatmap(
+        lambda moduli: st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])).map(
+            lambda extra: (
+                tuple(moduli),
+                sorted(extra | {p for q in moduli for p in prime_factors(q)}),
+            )
+        )
+    )
+
+
+class TestSplitting:
+    @given(moduli_with_primes(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_split_round_trip(self, layout, data):
+        moduli, primes = layout
+        s = split_group(moduli, primes)
+        x = tuple(data.draw(st.integers(0, q - 1)) for q in moduli)
+        coords = s.split(x)
+        assert len(coords) == len(s.flat_moduli) == len(primes) * len(moduli)
+        assert all(0 <= c < m for c, m in zip(coords, s.flat_moduli))
+        assert s.unsplit(coords) == x
+
+    def test_block_reduces_by_prime_part(self):
+        s = split_group((12, 10))
+        assert s.block(0, (7, 9)) == (3, 1)
+        assert s.block(1, (7, 9)) == (1, 0)
+        assert s.block(2, (7, 9)) == (0, 4)
+
+    def test_wrong_arity_rejected(self):
+        s = split_group((12, 10))
+        with pytest.raises(ArityMismatch):
+            s.split((1,))
+        with pytest.raises(ArityMismatch):
+            s.split((1, 2, 3))
+
+    def test_bad_moduli_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            split_group((2.5,))
+        with pytest.raises(ValueError, match="moduli must be >= 1"):
+            split_group((4, -3))
+        with pytest.raises(ValueError, match="moduli must be >= 1"):
+            split_group((0,))
 
 
 class TestCRTMap:
