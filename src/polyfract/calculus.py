@@ -19,7 +19,7 @@ from .errors import (
     NotAnnihilated,
     PreconditionFailed,
 )
-from .exactnum import Residue, binom, canonical, prime_factors
+from .exactnum import Residue, as_integer, binom, canonical, prime_factors
 from .multi import MultiPolyfract
 from .uni import UniPolyfract
 
@@ -52,8 +52,10 @@ class FiniteFn:
     values: tuple = ()
 
     def __post_init__(self):
-        domain = tuple(int(q) for q in self.domain_moduli)
-        codomain = tuple(int(r) for r in self.codomain_moduli)
+        domain = tuple(as_integer(q, "domain modulus", BadDomain)
+                       for q in self.domain_moduli)
+        codomain = tuple(as_integer(r, "codomain modulus", BadCodomain)
+                         for r in self.codomain_moduli)
         if any(q < 1 for q in domain):
             raise BadDomain("domain moduli must be >= 1")
         if any(r < 0 for r in codomain):

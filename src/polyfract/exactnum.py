@@ -6,6 +6,7 @@ least nonnegative representatives mod r.  All arithmetic is exact.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import factorial
 
@@ -13,6 +14,7 @@ from .errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
 
 __all__ = [
     "Residue",
+    "as_integer",
     "binom",
     "mod_project",
     "padic_valuation",
@@ -23,6 +25,15 @@ __all__ = [
     "balanced_lift",
     "xgcd",
 ]
+
+
+def as_integer(value, what: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as a Python int; anything that is not an integer type
+    (a float such as 2.0 included) raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 def binom(n: int, k: int) -> int:
@@ -149,6 +160,7 @@ def padic_valuation(n: int, p: int) -> int:
 
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as an ordered {prime: exponent} map."""
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     factors: dict[int, int] = {}

@@ -7,14 +7,13 @@ over product codomains, and wavelength reduction of periodic polyfracts.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .calculus import hrycaj_periodicity
 from .errors import ArityMismatch, CoprimalityViolation, ModulusMismatch, NotPeriodic
-from .exactnum import Residue, prime_factors, prime_part
+from .exactnum import Residue, as_integer, prime_factors, prime_part
 from .multi import MultiPolyfract, merge_variables
 from .uni import UniPolyfract
 
@@ -83,6 +82,7 @@ def crt_map(r: int, primes: Sequence[int] | None = None) -> CRTMap:
     ``primes`` may list extra primes, materialized as trivial factors
     Z_1, so that several splittings share one prime layout.
     """
+    r = as_integer(r, "modulus")
     if r < 2:
         raise ValueError("r must be >= 2")
     factors = tuple(prime_part(r, p) for p in _covering_primes((r,), primes))
@@ -156,16 +156,9 @@ def split_group(moduli: Sequence[int],
     (the prime divisors of the moduli) so that several groups share one
     layout; the extra parts are trivial.
     """
-    checked = []
-    for q in moduli:
-        try:
-            q = operator.index(q)
-        except TypeError:
-            raise ValueError(f"modulus {q!r} is not an integer") from None
-        if q < 1:
-            raise ValueError("moduli must be >= 1")
-        checked.append(q)
-    moduli = tuple(checked)
+    moduli = tuple(as_integer(q, "modulus") for q in moduli)
+    if any(q < 1 for q in moduli):
+        raise ValueError("moduli must be >= 1")
     primes = _covering_primes(moduli, primes)
     parts = tuple(tuple(prime_part(q, p) for q in moduli) for p in primes)
     crts = tuple(crt_map(q, primes) if q > 1 else None for q in moduli)

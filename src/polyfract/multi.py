@@ -5,7 +5,9 @@ codomain factor; the induced map sends x to the componentwise-reduced sum
 of coeff * C(x_1, d_1) * ... * C(x_n, d_n).  Ring arithmetic works slot by
 slot, with multiplication running the five-step procedure generalized to n
 variables: expand into sparse rational monomials, multiply, re-express in
-the binomial basis variable by variable, reduce.
+the binomial basis variable by variable, reduce.  The rational monomials
+are kept as integer numerators over one denominator per polynomial;
+``Fraction`` appears only in ``RationalPolyMulti``, the monomial-basis edge.
 """
 from __future__ import annotations
 
@@ -13,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, NotIntegerValued
-from .exactnum import Residue, balanced_lift, binom, canonical
-from .uni import RationalPoly, UniPolyfract, binom_poly
+from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
+from .uni import RationalPoly, UniPolyfract, _convolve, _numerators, stirling_row
 
 __all__ = [
     "MultiPolyfract",
@@ -28,37 +30,47 @@ __all__ = [
     "merge_variables",
 ]
 
-# Internal sparse rational polynomials: exponent tuple -> Fraction.
+# Internal sparse polynomials with integer coefficients: exponent tuple ->
+# int.  A rational polynomial is such a dict of numerators together with
+# one shared denominator.
 _MPoly = dict
+
+
+def _exponent(exp: Sequence[int]) -> tuple[int, ...]:
+    return tuple(as_integer(e, "exponent") for e in exp)
 
 
 @lru_cache(maxsize=1024)
 def _monofract_monomials(exps: tuple[int, ...]) -> tuple:
-    """Monomial expansion of C(X_1,e_1)...C(X_n,e_n) as (exp, coeff) pairs."""
-    acc = {(): Fraction(1)}
+    """Monomial expansion of e_1!...e_n! * C(X_1,e_1)...C(X_n,e_n) as
+    (exp, integer coeff) pairs: a product of Stirling rows."""
+    acc = {(): 1}
     for d in exps:
-        bp = binom_poly(d)
+        row = stirling_row(d)
         acc = {
-            e + (k,): c * w
+            e + (k,): c * s
             for e, c in acc.items()
-            for k, w in enumerate(bp)
-            if w
+            for k, s in enumerate(row)
+            if s
         }
     return tuple(acc.items())
 
 
-def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> _MPoly:
+def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> tuple[_MPoly, int]:
+    """Monomial numerators of sum c*C(X, e) over the denominator
+    prod_j (max e_j)!, the largest exponent of each variable."""
+    terms = [(exp, c) for exp, c in int_terms.items() if c]
+    den = prod(factorial(max(col)) for col in zip(*(exp for exp, _ in terms)))
     out: _MPoly = {}
-    for exp, c in int_terms.items():
-        if not c:
-            continue
-        for mono, w in _monofract_monomials(exp):
-            v = out.get(mono, Fraction(0)) + c * w
+    for exp, c in terms:
+        scale = c * den // prod(factorial(e) for e in exp)
+        for mono, s in _monofract_monomials(exp):
+            v = out.get(mono, 0) + scale * s
             if v:
                 out[mono] = v
             else:
                 out.pop(mono, None)
-    return out
+    return out, den
 
 
 def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
@@ -66,7 +78,7 @@ def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(key, Fraction(0)) + ca * cb
+            v = out.get(key, 0) + ca * cb
             if v:
                 out[key] = v
             else:
@@ -74,39 +86,47 @@ def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
     return out
 
 
-def _binomial_coeffs_multi(poly: _MPoly, nvars: int) -> dict[tuple[int, ...], int]:
-    """Binomial-basis coefficients of a rational polynomial in n variables.
+def _binomial_coeffs_multi(poly: _MPoly, den: int,
+                           nvars: int) -> dict[tuple[int, ...], int]:
+    """Binomial-basis coefficients of the rational polynomial poly / den in
+    n variables.
 
     Works variable by variable: treat the polynomial as univariate in the
     last variable with polynomial coefficients, strip leading monofracts
     there, and recurse on the stripped coefficient polynomials.  The final
     scalars must be integers (the polynomial is integer valued) or
-    NotIntegerValued is raised.
+    NotIntegerValued is raised.  Stripping N*C(X_n, m)/m! subtracts
+    N*s(m, k) from the numerators.
     """
     if nvars == 0:
-        c = poly.get((), Fraction(0))
+        c = poly.get((), 0)
         if not c:
             return {}
-        if c.denominator != 1:
-            raise NotIntegerValued(f"constant coefficient {c} is not an integer")
-        return {(): int(c)}
+        ci, rest = divmod(c, den)
+        if rest:
+            raise NotIntegerValued(
+                f"constant coefficient {Fraction(c, den)} is not an integer"
+            )
+        return {(): ci}
     work = {e: c for e, c in poly.items() if c}
     out: dict[tuple[int, ...], int] = {}
     while work:
         m = max(e[-1] for e in work)
-        head = {e[:-1]: c * factorial(m) for e, c in work.items() if e[-1] == m}
-        bp = binom_poly(m)
-        for e, c in head.items():
-            for k, w in enumerate(bp):
-                if not w:
+        lead = {e[:-1]: c for e, c in work.items() if e[-1] == m}
+        row = stirling_row(m)
+        for e, c in lead.items():
+            for k, s in enumerate(row):
+                if not s:
                     continue
                 key = e + (k,)
-                v = work.get(key, Fraction(0)) - c * w
+                v = work.get(key, 0) - c * s
                 if v:
                     work[key] = v
                 else:
                     work.pop(key, None)
-        for e, ci in _binomial_coeffs_multi(head, nvars - 1).items():
+        fac = factorial(m)
+        head = {e: c * fac for e, c in lead.items()}
+        for e, ci in _binomial_coeffs_multi(head, den, nvars - 1).items():
             out[e + (m,)] = ci
     return out
 
@@ -122,7 +142,7 @@ class RationalPolyMulti:
     def __post_init__(self):
         cleaned = []
         for exp, coeffs in dict(self.terms).items():
-            exp = tuple(int(e) for e in exp)
+            exp = _exponent(exp)
             if len(exp) != self.nvars:
                 raise ArityMismatch(f"exponent {exp} has arity != {self.nvars}")
             coeffs = tuple(Fraction(c) for c in coeffs)
@@ -145,7 +165,7 @@ class RationalPolyMulti:
                 out[i] += c * mono
         return tuple(out)
 
-    def slot(self, i: int) -> _MPoly:
+    def slot(self, i: int) -> dict[tuple[int, ...], Fraction]:
         return {exp: coeffs[i] for exp, coeffs in self.terms if coeffs[i]}
 
 
@@ -163,13 +183,13 @@ class MultiPolyfract:
     terms: tuple = ()
 
     def __post_init__(self):
-        codomain = tuple(int(r) for r in self.codomain)
+        codomain = tuple(as_integer(r, "codomain modulus") for r in self.codomain)
         if any(r < 0 for r in codomain):
             raise ValueError("codomain moduli must be >= 0")
         object.__setattr__(self, "codomain", codomain)
         cleaned = []
         for exp, coeffs in dict(self.terms).items():
-            exp = tuple(int(e) for e in exp)
+            exp = _exponent(exp)
             if len(exp) != self.nvars:
                 raise ArityMismatch(f"exponent {exp} has arity != {self.nvars}")
             if len(coeffs) != len(codomain):
@@ -217,10 +237,13 @@ class MultiPolyfract:
         codomain = tuple(codomain)
         if len(codomain) != poly.width:
             raise ArityMismatch("codomain width differs from coefficient width")
-        slot_coeffs = [
-            _binomial_coeffs_multi(poly.slot(i), poly.nvars)
-            for i in range(poly.width)
-        ]
+        slot_coeffs = []
+        for i in range(poly.width):
+            slot = poly.slot(i)
+            nums, den = _numerators(slot.values())
+            slot_coeffs.append(
+                _binomial_coeffs_multi(dict(zip(slot, nums)), den, poly.nvars)
+            )
         exps = set()
         for sc in slot_coeffs:
             exps.update(sc)
@@ -331,9 +354,11 @@ class MultiPolyfract:
         self._check(other)
         slot_results = []
         for i in range(self.width):
-            a = _expand_to_monomials(self.slot_map(i))
-            b = _expand_to_monomials(other.slot_map(i))
-            slot_results.append(_binomial_coeffs_multi(_mpoly_mul(a, b), self.nvars))
+            a, da = _expand_to_monomials(self.slot_map(i))
+            b, db = _expand_to_monomials(other.slot_map(i))
+            slot_results.append(
+                _binomial_coeffs_multi(_mpoly_mul(a, b), da * db, self.nvars)
+            )
         exps = set()
         for sr in slot_results:
             exps.update(sr)
@@ -353,10 +378,10 @@ class MultiPolyfract:
                 raise ValueError(f"unknown lift {lift!r}")
             slot_polys.append(_expand_to_monomials(int_terms))
         exps = set()
-        for sp in slot_polys:
+        for sp, _ in slot_polys:
             exps.update(sp)
         terms = tuple(
-            (exp, tuple(sp.get(exp, Fraction(0)) for sp in slot_polys))
+            (exp, tuple(Fraction(sp.get(exp, 0), den) for sp, den in slot_polys))
             for exp in exps
         )
         return RationalPolyMulti(self.nvars, self.width, terms)
@@ -372,22 +397,28 @@ def compose(q: UniPolyfract, p: MultiPolyfract) -> MultiPolyfract:
     """Substitute the polyfract p into q; both must be over Z (modulus 0).
 
     The composed rational polynomial is integer valued, hence again a
-    polyfract; for nonconstant inputs its degree is deg(q) * deg(p).
+    polyfract; for nonconstant inputs its degree is deg(q) * deg(p).  With
+    q = sum_k a_k X^k / Q and p = P / D, Horner's rule runs on the integer
+    numerators of sum_k a_k P^k D^(deg q - k) over Q * D^(deg q).
     """
     if q.modulus != 0 or p.codomain != (0,):
         raise ModulusMismatch("composition is defined over modulus 0 only")
-    p_mono = _expand_to_monomials(p.slot_map(0))
+    p_mono, p_den = _expand_to_monomials(p.slot_map(0))
+    q_nums, q_den = _numerators(q.to_rational(lift="canonical").coeffs)
     zero_exp = (0,) * p.nvars
     acc: _MPoly = {}
-    for c in reversed(q.to_rational(lift="canonical").coeffs):
+    power = 1  # D^(deg q - k) for the coefficient a_k being added
+    for c in reversed(q_nums):
         acc = _mpoly_mul(acc, p_mono)
         if c:
-            v = acc.get(zero_exp, Fraction(0)) + c
+            v = acc.get(zero_exp, 0) + c * power
             if v:
                 acc[zero_exp] = v
             else:
                 acc.pop(zero_exp, None)
-    coeffs = _binomial_coeffs_multi(acc, p.nvars)
+        power *= p_den
+    den = q_den * p_den ** max(len(q_nums) - 1, 0)
+    coeffs = _binomial_coeffs_multi(acc, den, p.nvars)
     return MultiPolyfract((0,), p.nvars, tuple(
         (exp, (ci,)) for exp, ci in coeffs.items()
     ))
@@ -419,15 +450,31 @@ def merge_variables(p: MultiPolyfract) -> MultiPolyfract:
 
     Inverse of variable splitting: products C(X,d_1)...C(X,d_n) are
     expanded and re-expressed in the univariate binomial basis, slot by
-    slot.
+    slot.  Each product is the product of the Stirling rows s(d_j, .)
+    over prod_j d_j!, which divides D! for D the slot's largest total
+    degree, so every slot sums integer numerators over D!.  Terms sharing
+    all exponents but the last are summed in the last variable first, so
+    each such group costs one chain of row products.
     """
     components = []
     for i, r in enumerate(p.codomain):
-        rp = RationalPoly()
-        for exp, c in p.slot_map(i).items():
-            prod = RationalPoly((Fraction(1),))
-            for d in exp:
-                prod = prod * RationalPoly(binom_poly(d))
-            rp = rp + prod.scale(c)
+        terms = p.slot_map(i)
+        top = max((sum(exp) for exp in terms), default=0)
+        den = factorial(top)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for exp, c in terms.items():
+            scale = c * den // prod(factorial(d) for d in exp)
+            row = stirling_row(exp[-1]) if exp else (1,)
+            acc = groups.setdefault(exp[:-1], [])
+            acc.extend([0] * (len(row) - len(acc)))
+            for j, v in enumerate(row):
+                acc[j] += scale * v
+        nums = [0] * (top + 1)
+        for prefix, acc in groups.items():
+            for d in prefix:
+                acc = _convolve(acc, stirling_row(d))
+            for j, v in enumerate(acc):
+                nums[j] += v
+        rp = RationalPoly(tuple(Fraction(n, den) for n in nums))
         components.append(UniPolyfract.from_rational(rp, r))
     return MultiPolyfract.from_components(components)

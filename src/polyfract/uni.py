@@ -7,39 +7,70 @@ representatives) makes equality of values structural equality.
 
 Multiplication follows the five-step route: lift coefficients to integers,
 expand into the rational monomial basis, multiply there, re-express in the
-binomial basis by repeated leading-coefficient extraction, reduce mod r.
+binomial basis, reduce mod r.  Every step runs on integer numerators over
+one shared denominator; ``Fraction`` appears only in the ``RationalPoly``
+values handed across the monomial-basis edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Sequence
+from math import factorial, lcm
+from typing import Iterable, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
-from .exactnum import Residue, balanced_lift, binom, canonical
+from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
 
 __all__ = [
     "RationalPoly",
     "UniPolyfract",
     "binom_poly",
     "coeffs_from_values",
+    "stirling_row",
 ]
 
 
 @lru_cache(maxsize=1024)
+def stirling_row(d: int) -> tuple[int, ...]:
+    """Integer monomial coefficients (constant term first) of d!*C(X, d).
+
+    That is the falling factorial X(X-1)...(X-d+1), whose coefficients are
+    the signed Stirling numbers of the first kind s(d, 0..d).  Built by a
+    loop over the linear factors, so any degree works without recursion.
+    """
+    row = [1]
+    for i in range(d):
+        row = _times_linear(row, i)
+    return tuple(row)
+
+
+def _times_linear(poly: Sequence[int], i: int) -> list[int]:
+    """Coefficients of poly * (X - i), constant term first."""
+    return [lo - i * hi for lo, hi in zip([0, *poly], [*poly, 0])]
+
+
 def binom_poly(delta: int) -> tuple[Fraction, ...]:
     """Monomial coefficients (constant term first) of C(X, delta) over Q."""
-    coeffs = [1]
-    for i in range(delta):
-        nxt = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] += c
-            nxt[j] -= c * i
-        coeffs = nxt
     fac = factorial(delta)
-    return tuple(Fraction(c, fac) for c in coeffs)
+    return tuple(Fraction(s, fac) for s in stirling_row(delta))
+
+
+def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values over their least common denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two dense integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _trim(seq: list) -> list:
@@ -72,29 +103,13 @@ class RationalPoly:
             total = total * x + c
         return total
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         if not self.coeffs or not other.coeffs:
             return RationalPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(tuple(out))
-
-    def scale(self, k: int | Fraction) -> "RationalPoly":
-        return RationalPoly(tuple(c * k for c in self.coeffs))
+        na, da = _numerators(self.coeffs)
+        nb, db = _numerators(other.coeffs)
+        den = da * db
+        return RationalPoly(tuple(Fraction(n, den) for n in _convolve(na, nb)))
 
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
@@ -103,25 +118,31 @@ class RationalPoly:
 def _extract_binomial_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     """Re-express a rational polynomial in the binomial basis.
 
-    Repeatedly divides off the leading monofract: the top coefficient is
-    m! times the leading rational coefficient and must be an integer, the
-    remainder has lower degree.  Raises NotIntegerValued at the first
-    stage where the extracted coefficient is not an integer.
+    The coefficients c_m are the rationals with sum c_m*C(X, m) equal to
+    the polynomial; checked from the top degree down, the first one that
+    is not an integer raises NotIntegerValued.  The polynomial is taken as
+    integer numerators N over their least common denominator D.  Writing
+    N = sum_m A_m * X(X-1)...(X-m+1), the A_m are integers, found by
+    dividing by X, X-1, X-2, ... in turn (A_m is the m-th remainder), and
+    c_m = A_m * m! / D.
     """
-    work = _trim([Fraction(c) for c in coeffs])
-    out = [0] * len(work)
-    for m in range(len(work) - 1, -1, -1):
-        c = work[m] * factorial(m)
-        if c.denominator != 1:
+    work, den = _numerators(_trim([Fraction(c) for c in coeffs]))
+    newton = []
+    for k in range(len(work)):
+        for j in range(len(work) - 2, -1, -1):
+            work[j] += k * work[j + 1]
+        newton.append(work.pop(0))
+    out = [0] * len(newton)
+    fac = factorial(len(newton) - 1) if newton else 1
+    for m in range(len(newton) - 1, -1, -1):
+        c, rest = divmod(newton[m] * fac, den)
+        if rest:
             raise NotIntegerValued(
-                f"binomial coefficient at degree {m} is {c}, not an integer"
+                f"binomial coefficient at degree {m} is "
+                f"{Fraction(newton[m] * fac, den)}, not an integer"
             )
-        ci = int(c)
-        out[m] = ci
-        if ci:
-            bp = binom_poly(m)
-            for j in range(m + 1):
-                work[j] -= ci * bp[j]
+        out[m] = c
+        fac //= m or 1
     return out
 
 
@@ -138,7 +159,7 @@ class UniPolyfract:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.modulus < 0:
+        if as_integer(self.modulus, "modulus") < 0:
             raise ValueError("modulus must be >= 0")
         reduced = _trim([canonical(c, self.modulus) for c in self.coeffs])
         object.__setattr__(self, "coeffs", tuple(reduced))
@@ -226,7 +247,9 @@ class UniPolyfract:
         ``lift`` picks the integer representatives of the coefficients:
         "balanced" (smallest absolute value, the readable output form) or
         "canonical" (least nonnegative).  Either choice induces the same
-        map mod r.
+        map mod r.  The numerators over (n-1)!, n the number of
+        coefficients, come from Horner's rule on sum_d c_d*(n-1)!/d! *
+        X(X-1)...(X-d+1).
         """
         if lift == "balanced":
             lifted = [balanced_lift(c, self.modulus) for c in self.coeffs]
@@ -234,11 +257,17 @@ class UniPolyfract:
             lifted = list(self.coeffs)
         else:
             raise ValueError(f"unknown lift {lift!r}")
-        out = RationalPoly()
-        for d, c in enumerate(lifted):
-            if c:
-                out = out + RationalPoly(binom_poly(d)).scale(c)
-        return out
+        if not lifted:
+            return RationalPoly()
+        nums: list[int] = []
+        scale = 1  # (n-1)!/d!
+        for d in range(len(lifted) - 1, -1, -1):
+            # nums <- nums * (X - d) + c_d * (n-1)!/d!
+            nums = _times_linear(nums, d)
+            nums[0] += lifted[d] * scale
+            scale *= d
+        den = factorial(len(lifted) - 1)
+        return RationalPoly(tuple(Fraction(n, den) for n in nums))
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -5,6 +5,7 @@ from alternating difference sums over plain ``math.comb``, evaluation from
 direct falling-factorial products.
 """
 import math
+from fractions import Fraction
 from itertools import product
 
 
@@ -42,3 +43,187 @@ def wrap_diff(table, modulus):
 def all_tables(length, height):
     """Every value table of the given length with entries below height."""
     return product(range(height), repeat=length)
+
+
+# -- Fraction reference for the binomial <-> monomial basis change ----------
+#
+# The five-step route as it ran before the integer-numerator kernels:
+# every step on ``Fraction`` values.  The kernels must give the same
+# coefficients and, for polynomials that are not integer valued, raise with
+# the same message (the reference raises ``RefNotIntegerValued``).
+
+
+class RefNotIntegerValued(Exception):
+    """The reference's counterpart of ``NotIntegerValued``."""
+
+
+def ref_binom_poly(delta):
+    """Monomial coefficients of C(X, delta) over Q, constant term first."""
+    coeffs = [1]
+    for i in range(delta):
+        nxt = [0] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            nxt[j + 1] += c
+            nxt[j] -= c * i
+        coeffs = nxt
+    fac = math.factorial(delta)
+    return tuple(Fraction(c, fac) for c in coeffs)
+
+
+def ref_trim(seq):
+    seq = list(seq)
+    while seq and not seq[-1]:
+        seq.pop()
+    return tuple(seq)
+
+
+def ref_lift(c, modulus, lift):
+    """Integer representative of a canonical residue under ``lift``."""
+    if lift == "canonical" or modulus == 0:
+        return c
+    half = (modulus - 1) // 2
+    return (c + half) % modulus - half
+
+
+def ref_to_rational(coeffs, modulus, lift):
+    """Monomial coefficients of sum lift(c_d)*C(X, d), trimmed."""
+    out = []
+    for d, c in enumerate(coeffs):
+        c = ref_lift(c, modulus, lift)
+        bp = ref_binom_poly(d)
+        out.extend([Fraction(0)] * (len(bp) - len(out)))
+        for j, w in enumerate(bp):
+            out[j] += c * w
+    return ref_trim(out)
+
+
+def ref_poly_mul(a, b):
+    """Product of two dense rational polynomials, trimmed."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * y
+    return ref_trim(out)
+
+
+def ref_extract(coeffs):
+    """Binomial-basis coefficients by leading-coefficient extraction."""
+    work = list(ref_trim(Fraction(c) for c in coeffs))
+    out = [0] * len(work)
+    for m in range(len(work) - 1, -1, -1):
+        c = work[m] * math.factorial(m)
+        if c.denominator != 1:
+            raise RefNotIntegerValued(
+                f"binomial coefficient at degree {m} is {c}, not an integer"
+            )
+        out[m] = int(c)
+        bp = ref_binom_poly(m)
+        for j in range(m + 1):
+            work[j] -= out[m] * bp[j]
+    return out
+
+
+def _sparse_add(out, key, value):
+    v = out.get(key, Fraction(0)) + value
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def ref_expand(int_terms):
+    """Sparse monomial expansion of sum c*C(X_1,e_1)...C(X_n,e_n)."""
+    out = {}
+    for exp, c in int_terms.items():
+        if not c:
+            continue
+        monos = {(): Fraction(1)}
+        for d in exp:
+            monos = {e + (k,): w * b for e, w in monos.items()
+                     for k, b in enumerate(ref_binom_poly(d)) if b}
+        for mono, w in monos.items():
+            _sparse_add(out, mono, c * w)
+    return out
+
+
+def ref_mpoly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _sparse_add(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return out
+
+
+def ref_binomial_coeffs_multi(poly, nvars):
+    """Binomial-basis coefficients of a sparse rational polynomial,
+    stripping leading monofracts in the last variable and recursing."""
+    if nvars == 0:
+        c = poly.get((), Fraction(0))
+        if not c:
+            return {}
+        if c.denominator != 1:
+            raise RefNotIntegerValued(f"constant coefficient {c} is not an integer")
+        return {(): int(c)}
+    work = {e: c for e, c in poly.items() if c}
+    out = {}
+    while work:
+        m = max(e[-1] for e in work)
+        head = {e[:-1]: c * math.factorial(m) for e, c in work.items() if e[-1] == m}
+        bp = ref_binom_poly(m)
+        for e, c in head.items():
+            for k, w in enumerate(bp):
+                if w:
+                    _sparse_add(work, e + (k,), -c * w)
+        for e, ci in ref_binomial_coeffs_multi(head, nvars - 1).items():
+            out[e + (m,)] = ci
+    return out
+
+
+def ref_slot(terms, i):
+    """Slot i of (exp, coefficient tuple) terms as a sparse dict."""
+    return {exp: coeffs[i] for exp, coeffs in terms if coeffs[i]}
+
+
+def ref_multi_mul(a_terms, b_terms, width, nvars):
+    """Five-step product per slot: {exp: coefficient} dict per slot."""
+    return [
+        ref_binomial_coeffs_multi(
+            ref_mpoly_mul(ref_expand(ref_slot(a_terms, i)),
+                          ref_expand(ref_slot(b_terms, i))),
+            nvars,
+        )
+        for i in range(width)
+    ]
+
+
+def ref_compose(q_coeffs, p_terms, nvars):
+    """Binomial coefficients of q(p(X)) over Z by Horner on Fractions."""
+    p_mono = ref_expand(ref_slot(p_terms, 0))
+    zero = (0,) * nvars
+    acc = {}
+    for c in reversed(ref_to_rational(q_coeffs, 0, "canonical")):
+        acc = ref_mpoly_mul(acc, p_mono)
+        if c:
+            _sparse_add(acc, zero, c)
+    return ref_binomial_coeffs_multi(acc, nvars)
+
+
+def ref_merge(terms, width):
+    """Monomial coefficients, per slot, of the diagonal X_j = X."""
+    slots = []
+    for i in range(width):
+        rp = ()
+        for exp, c in ref_slot(terms, i).items():
+            prod = (Fraction(1),)
+            for d in exp:
+                prod = ref_poly_mul(prod, ref_binom_poly(d))
+            scaled = [c * v for v in prod]
+            n = max(len(rp), len(scaled))
+            rp = ref_trim(
+                (rp[j] if j < len(rp) else 0) + (scaled[j] if j < len(scaled) else 0)
+                for j in range(n)
+            )
+        slots.append(rp)
+    return slots

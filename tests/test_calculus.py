@@ -30,6 +30,16 @@ from polyfract.errors import (
 from helpers import all_tables, binom_any, wrap_diff
 
 
+class TestFiniteFnModuli:
+    def test_non_integral_domain_modulus_rejected(self):
+        with pytest.raises(BadDomain, match="not an integer"):
+            FiniteFn((2.5,), (2,), ((0,), (1,)))
+
+    def test_non_integral_codomain_modulus_rejected(self):
+        with pytest.raises(BadCodomain, match="not an integer"):
+            FiniteFn((2,), (4.0,), ((0,), (1,)))
+
+
 class TestApplyDiff:
     def test_difference_of_binomial_window(self):
         # the wrap-around entry aside, differencing C(X,2) values gives C(X,1)

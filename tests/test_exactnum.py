@@ -143,6 +143,10 @@ class TestHelpers:
         assert prime_factors(600) == {2: 3, 3: 1, 5: 2}
         assert prime_factors(1) == {}
 
+    def test_prime_factors_rejects_non_integers(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            prime_factors(2.5)
+
     def test_prime_part(self):
         assert prime_part(600, 2) == 8
         assert prime_part(600, 7) == 1

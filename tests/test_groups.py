@@ -169,6 +169,10 @@ class TestCRTMap:
         with pytest.raises(ValueError):
             crt_map(1)
 
+    def test_non_integral_modulus_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            crt_map(12.0)
+
     def test_wrong_modulus_rejected(self):
         crt = crt_map(12)
         with pytest.raises(ModulusMismatch):

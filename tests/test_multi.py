@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyfract import (
     MultiPolyfract,
+    RationalPolyMulti,
     Residue,
     UniPolyfract,
     compose,
@@ -26,6 +27,18 @@ def rand_multi(data, max_vars=3, max_modulus=9, max_terms=4, max_exp=3):
         exp = tuple(data.draw(st.integers(0, max_exp)) for _ in range(nvars))
         terms[exp] = (data.draw(st.integers(0, r - 1)),)
     return MultiPolyfract((r,), nvars, tuple(terms.items()))
+
+
+class TestConstruction:
+    def test_non_integral_codomain_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            MultiPolyfract((6.7,), 1, (((1,), (5,)),))
+
+    def test_non_integral_exponent_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            MultiPolyfract((6,), 1, (((1.9,), (5,)),))
+        with pytest.raises(ValueError, match="not an integer"):
+            RationalPolyMulti(1, 1, (((1.9,), (5,)),))
 
 
 class TestEvaluation:

@@ -38,6 +38,10 @@ class TestCanonicalForm:
         assert UniPolyfract.zero(7).coeffs == ()
         assert UniPolyfract.zero(7).degree is None
 
+    def test_non_integral_modulus_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            UniPolyfract(6.5, (7,))
+
 
 class TestEvaluation:
     def test_indicator_values(self):
@@ -142,6 +146,12 @@ class TestRationalConversion:
         p = rand_polyfract(data)
         for lift in ("balanced", "canonical"):
             assert UniPolyfract.from_rational(p.to_rational(lift), p.modulus) == p
+
+    def test_deep_degree_round_trip(self):
+        # far past the interpreter's recursion limit: the basis change
+        # must not recurse on the degree
+        p = UniPolyfract.monofract(1100, 0)
+        assert UniPolyfract.from_rational(p.to_rational(), 0) == p
 
 
 class TestCoeffsFromValues:
