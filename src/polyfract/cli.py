@@ -373,6 +373,17 @@ def _cmd_certify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum, so a bad argument exits 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyfract",
@@ -404,22 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a polynomial file at a point")
     p.add_argument("polynomial")
     p.add_argument("--at", required=True, help="comma-separated coordinates")
-    p.add_argument("--modulus", type=int,
+    p.add_argument("--modulus", type=_int_at_least(0),
                    help="project a single-component result to this modulus")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("lagrange", help="point-indicator polyfract on Z_{p^alpha}")
     p.add_argument("p", type=int)
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
+    p.add_argument("alpha", type=_int_at_least(1))
+    p.add_argument("beta", type=_int_at_least(1))
     p.add_argument("x0", type=int)
     add_basis(p)
     p.set_defaults(func=_cmd_lagrange)
 
     p = sub.add_parser("cofract", help="one co-monofract value (d|x)_{q,r}")
-    p.add_argument("d", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
+    p.add_argument("d", type=_int_at_least(0))
+    p.add_argument("q", type=_int_at_least(1))
+    p.add_argument("r", type=_int_at_least(0))
     p.add_argument("x", type=int)
     p.set_defaults(func=_cmd_cofract)
 
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-prime", type=int, default=3)
     p.add_argument("--max-alpha", type=int, default=2)
     p.add_argument("--max-beta", type=int, default=2)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_int_at_least(0), default=2000)
     p.add_argument("--count-limit", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-search", type=int, default=1_000_000)

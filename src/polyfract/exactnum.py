@@ -83,9 +83,10 @@ class Residue:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 0:
+        if as_integer(self.modulus, "modulus") < 0:
             raise ValueError("modulus must be >= 0")
-        object.__setattr__(self, "value", canonical(self.value, self.modulus))
+        value = as_integer(self.value, "value")
+        object.__setattr__(self, "value", canonical(value, self.modulus))
 
     def _check(self, other: "Residue") -> None:
         if self.modulus != other.modulus:

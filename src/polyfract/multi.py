@@ -5,22 +5,24 @@ codomain factor; the induced map sends x to the componentwise-reduced sum
 of coeff * C(x_1, d_1) * ... * C(x_n, d_n).  Ring arithmetic works slot by
 slot, with multiplication running the five-step procedure generalized to n
 variables: expand into sparse rational monomials, multiply, re-express in
-the binomial basis variable by variable, reduce.  The rational monomials
-are kept as integer numerators over one denominator per polynomial;
-``Fraction`` appears only in ``RationalPolyMulti``, the monomial-basis edge.
+the binomial basis, reduce.  Both basis changes run the univariate kernels
+``uni._to_monomial`` and ``uni._to_falling`` along one variable at a time.
+The rational monomials are kept as integer numerators over one denominator
+per polynomial; ``Fraction`` appears only in ``RationalPolyMulti``, the
+monomial-basis edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from itertools import product
 from math import factorial, prod
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, NotIntegerValued
 from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
-from .uni import RationalPoly, UniPolyfract, _convolve, _numerators, stirling_row
+from .uni import RationalPoly, UniPolyfract, _numerators, _to_falling, _to_monomial
 
 __all__ = [
     "MultiPolyfract",
@@ -40,37 +42,37 @@ def _exponent(exp: Sequence[int]) -> tuple[int, ...]:
     return tuple(as_integer(e, "exponent") for e in exp)
 
 
-@lru_cache(maxsize=1024)
-def _monofract_monomials(exps: tuple[int, ...]) -> tuple:
-    """Monomial expansion of e_1!...e_n! * C(X_1,e_1)...C(X_n,e_n) as
-    (exp, integer coeff) pairs: a product of Stirling rows."""
-    acc = {(): 1}
-    for d in exps:
-        row = stirling_row(d)
-        acc = {
-            e + (k,): c * s
-            for e, c in acc.items()
-            for k, s in enumerate(row)
-            if s
-        }
-    return tuple(acc.items())
+def _along(poly: _MPoly, axis: int,
+           kernel: Callable[[list[int]], list[int]]) -> _MPoly:
+    """Apply a dense univariate kernel to a sparse polynomial along one
+    variable: the terms are grouped by their other exponents, each group
+    becomes one dense row indexed by the exponent of ``axis``, and the
+    kernel's output rows are scattered back."""
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for exp, c in poly.items():
+        row = rows.setdefault(exp[:axis] + exp[axis + 1:], [])
+        k = exp[axis]
+        if k >= len(row):
+            row.extend([0] * (k + 1 - len(row)))
+        row[k] = c
+    out: _MPoly = {}
+    for rest, row in rows.items():
+        head, tail = rest[:axis], rest[axis:]
+        for k, v in enumerate(kernel(row)):
+            if v:
+                out[head + (k,) + tail] = v
+    return out
 
 
 def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> tuple[_MPoly, int]:
     """Monomial numerators of sum c*C(X, e) over the denominator
-    prod_j (max e_j)!, the largest exponent of each variable."""
-    terms = [(exp, c) for exp, c in int_terms.items() if c]
-    den = prod(factorial(max(col)) for col in zip(*(exp for exp, _ in terms)))
-    out: _MPoly = {}
-    for exp, c in terms:
-        scale = c * den // prod(factorial(e) for e in exp)
-        for mono, s in _monofract_monomials(exp):
-            v = out.get(mono, 0) + scale * s
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return out, den
+    prod_j (max e_j)!, the largest exponent of each variable: the
+    univariate ``_to_monomial`` run along each variable in turn."""
+    poly = {exp: c for exp, c in int_terms.items() if c}
+    tops = [max(col) for col in zip(*poly)]
+    for axis, top in enumerate(tops):
+        poly = _along(poly, axis, partial(_to_monomial, top=top))
+    return poly, prod(factorial(top) for top in tops)
 
 
 def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
@@ -91,43 +93,25 @@ def _binomial_coeffs_multi(poly: _MPoly, den: int,
     """Binomial-basis coefficients of the rational polynomial poly / den in
     n variables.
 
-    Works variable by variable: treat the polynomial as univariate in the
-    last variable with polynomial coefficients, strip leading monofracts
-    there, and recurse on the stripped coefficient polynomials.  The final
-    scalars must be integers (the polynomial is integer valued) or
-    NotIntegerValued is raised.  Stripping N*C(X_n, m)/m! subtracts
-    N*s(m, k) from the numerators.
+    The univariate ``_to_falling`` run along each variable gives integers
+    A_e with poly = sum_e A_e * prod_j X_j(X_j-1)...(X_j-e_j+1), so the
+    coefficient of C(X_1,e_1)...C(X_n,e_n) is A_e * e_1!...e_n! / den.
+    Each must be an integer (the polynomial is integer valued), or
+    NotIntegerValued is raised for the first that is not, the terms taken
+    by their exponents read from the last variable to the first, largest
+    first.
     """
-    if nvars == 0:
-        c = poly.get((), 0)
-        if not c:
-            return {}
+    for axis in range(nvars):
+        poly = _along(poly, axis, _to_falling)
+    out: dict[tuple[int, ...], int] = {}
+    for exp in sorted(poly, key=lambda e: e[::-1], reverse=True):
+        c = poly[exp] * prod(factorial(e) for e in exp)
         ci, rest = divmod(c, den)
         if rest:
             raise NotIntegerValued(
                 f"constant coefficient {Fraction(c, den)} is not an integer"
             )
-        return {(): ci}
-    work = {e: c for e, c in poly.items() if c}
-    out: dict[tuple[int, ...], int] = {}
-    while work:
-        m = max(e[-1] for e in work)
-        lead = {e[:-1]: c for e, c in work.items() if e[-1] == m}
-        row = stirling_row(m)
-        for e, c in lead.items():
-            for k, s in enumerate(row):
-                if not s:
-                    continue
-                key = e + (k,)
-                v = work.get(key, 0) - c * s
-                if v:
-                    work[key] = v
-                else:
-                    work.pop(key, None)
-        fac = factorial(m)
-        head = {e: c * fac for e, c in lead.items()}
-        for e, ci in _binomial_coeffs_multi(head, den, nvars - 1).items():
-            out[e + (m,)] = ci
+        out[exp] = ci
     return out
 
 
@@ -194,7 +178,8 @@ class MultiPolyfract:
                 raise ArityMismatch(f"exponent {exp} has arity != {self.nvars}")
             if len(coeffs) != len(codomain):
                 raise ArityMismatch("coefficient tuple width mismatch")
-            coeffs = tuple(canonical(c, r) for c, r in zip(coeffs, codomain))
+            coeffs = tuple(canonical(as_integer(c, "coefficient"), r)
+                           for c, r in zip(coeffs, codomain))
             if any(coeffs):
                 cleaned.append((exp, coeffs))
         cleaned.sort(key=lambda t: t[0])
@@ -448,33 +433,17 @@ def grid_vanish_equiv(p: MultiPolyfract, bounds: Sequence[int]) -> tuple[bool, b
 def merge_variables(p: MultiPolyfract) -> MultiPolyfract:
     """Substitute one shared variable X for every X_j.
 
-    Inverse of variable splitting: products C(X,d_1)...C(X,d_n) are
-    expanded and re-expressed in the univariate binomial basis, slot by
-    slot.  Each product is the product of the Stirling rows s(d_j, .)
-    over prod_j d_j!, which divides D! for D the slot's largest total
-    degree, so every slot sums integer numerators over D!.  Terms sharing
-    all exponents but the last are summed in the last variable first, so
-    each such group costs one chain of row products.
+    Inverse of variable splitting, slot by slot: the slot is expanded into
+    monomial numerators over one denominator, numerators of equal total
+    degree are added (X_1^k_1...X_n^k_n becomes X^(k_1+...+k_n)), and the
+    univariate rational polynomial is re-expressed in the binomial basis.
     """
     components = []
     for i, r in enumerate(p.codomain):
-        terms = p.slot_map(i)
-        top = max((sum(exp) for exp in terms), default=0)
-        den = factorial(top)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for exp, c in terms.items():
-            scale = c * den // prod(factorial(d) for d in exp)
-            row = stirling_row(exp[-1]) if exp else (1,)
-            acc = groups.setdefault(exp[:-1], [])
-            acc.extend([0] * (len(row) - len(acc)))
-            for j, v in enumerate(row):
-                acc[j] += scale * v
-        nums = [0] * (top + 1)
-        for prefix, acc in groups.items():
-            for d in prefix:
-                acc = _convolve(acc, stirling_row(d))
-            for j, v in enumerate(acc):
-                nums[j] += v
+        mono, den = _expand_to_monomials(p.slot_map(i))
+        nums = [0] * (max(map(sum, mono), default=-1) + 1)
+        for exp, c in mono.items():
+            nums[sum(exp)] += c
         rp = RationalPoly(tuple(Fraction(n, den) for n in nums))
         components.append(UniPolyfract.from_rational(rp, r))
     return MultiPolyfract.from_components(components)

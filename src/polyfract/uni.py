@@ -8,14 +8,15 @@ representatives) makes equality of values structural equality.
 Multiplication follows the five-step route: lift coefficients to integers,
 expand into the rational monomial basis, multiply there, re-express in the
 binomial basis, reduce mod r.  Every step runs on integer numerators over
-one shared denominator; ``Fraction`` appears only in the ``RationalPoly``
-values handed across the monomial-basis edge.
+one shared denominator, and the two basis changes are one kernel pair:
+``_to_monomial`` (Horner's rule in the falling-factorial basis) and
+``_to_falling`` (repeated synthetic division).  ``Fraction`` appears only
+in the ``RationalPoly`` values handed across the monomial-basis edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
@@ -27,33 +28,48 @@ __all__ = [
     "UniPolyfract",
     "binom_poly",
     "coeffs_from_values",
-    "stirling_row",
 ]
 
 
-@lru_cache(maxsize=1024)
-def stirling_row(d: int) -> tuple[int, ...]:
-    """Integer monomial coefficients (constant term first) of d!*C(X, d).
+def _to_monomial(coeffs: Sequence[int], top: int) -> list[int]:
+    """Integers N with sum_d coeffs[d]*C(X, d) = N(X)/top!, constant term
+    first; top must be at least the last index of coeffs.
 
-    That is the falling factorial X(X-1)...(X-d+1), whose coefficients are
-    the signed Stirling numbers of the first kind s(d, 0..d).  Built by a
-    loop over the linear factors, so any degree works without recursion.
+    Horner's rule in the falling-factorial basis: N is
+    sum_d coeffs[d]*top!/d! * X(X-1)...(X-d+1).  A loop, not a recursion,
+    so any degree works.
     """
-    row = [1]
-    for i in range(d):
-        row = _times_linear(row, i)
-    return tuple(row)
+    if not coeffs:
+        return []
+    nums: list[int] = []
+    scale = factorial(top) // factorial(len(coeffs) - 1)  # top!/d!
+    for d in range(len(coeffs) - 1, -1, -1):
+        # nums <- nums * (X - d) + coeffs[d] * top!/d!
+        nums = [lo - d * hi for lo, hi in zip([0, *nums], [*nums, 0])]
+        nums[0] += coeffs[d] * scale
+        scale *= d
+    return nums
 
 
-def _times_linear(poly: Sequence[int], i: int) -> list[int]:
-    """Coefficients of poly * (X - i), constant term first."""
-    return [lo - i * hi for lo, hi in zip([0, *poly], [*poly, 0])]
+def _to_falling(nums: Sequence[int]) -> list[int]:
+    """Integers A with N = sum_m A_m * X(X-1)...(X-m+1), for the integer
+    polynomial N given constant term first.
+
+    Divides by X, X-1, X-2, ... in turn; A_m is the m-th remainder.
+    """
+    work = list(nums)
+    out = []
+    for k in range(len(work)):
+        for j in range(len(work) - 2, -1, -1):
+            work[j] += k * work[j + 1]
+        out.append(work.pop(0))
+    return out
 
 
 def binom_poly(delta: int) -> tuple[Fraction, ...]:
     """Monomial coefficients (constant term first) of C(X, delta) over Q."""
     fac = factorial(delta)
-    return tuple(Fraction(s, fac) for s in stirling_row(delta))
+    return tuple(Fraction(n, fac) for n in _to_monomial((0,) * delta + (1,), delta))
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -121,17 +137,11 @@ def _extract_binomial_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     The coefficients c_m are the rationals with sum c_m*C(X, m) equal to
     the polynomial; checked from the top degree down, the first one that
     is not an integer raises NotIntegerValued.  The polynomial is taken as
-    integer numerators N over their least common denominator D.  Writing
-    N = sum_m A_m * X(X-1)...(X-m+1), the A_m are integers, found by
-    dividing by X, X-1, X-2, ... in turn (A_m is the m-th remainder), and
-    c_m = A_m * m! / D.
+    integer numerators N over their least common denominator D; with
+    A = _to_falling(N), c_m = A_m * m! / D.
     """
-    work, den = _numerators(_trim([Fraction(c) for c in coeffs]))
-    newton = []
-    for k in range(len(work)):
-        for j in range(len(work) - 2, -1, -1):
-            work[j] += k * work[j + 1]
-        newton.append(work.pop(0))
+    nums, den = _numerators(_trim([Fraction(c) for c in coeffs]))
+    newton = _to_falling(nums)
     out = [0] * len(newton)
     fac = factorial(len(newton) - 1) if newton else 1
     for m in range(len(newton) - 1, -1, -1):
@@ -161,7 +171,8 @@ class UniPolyfract:
     def __post_init__(self):
         if as_integer(self.modulus, "modulus") < 0:
             raise ValueError("modulus must be >= 0")
-        reduced = _trim([canonical(c, self.modulus) for c in self.coeffs])
+        reduced = _trim([canonical(as_integer(c, "coefficient"), self.modulus)
+                         for c in self.coeffs])
         object.__setattr__(self, "coeffs", tuple(reduced))
 
     @classmethod
@@ -247,9 +258,8 @@ class UniPolyfract:
         ``lift`` picks the integer representatives of the coefficients:
         "balanced" (smallest absolute value, the readable output form) or
         "canonical" (least nonnegative).  Either choice induces the same
-        map mod r.  The numerators over (n-1)!, n the number of
-        coefficients, come from Horner's rule on sum_d c_d*(n-1)!/d! *
-        X(X-1)...(X-d+1).
+        map mod r.  The result is _to_monomial's numerators over (n-1)!,
+        n the number of coefficients.
         """
         if lift == "balanced":
             lifted = [balanced_lift(c, self.modulus) for c in self.coeffs]
@@ -259,15 +269,9 @@ class UniPolyfract:
             raise ValueError(f"unknown lift {lift!r}")
         if not lifted:
             return RationalPoly()
-        nums: list[int] = []
-        scale = 1  # (n-1)!/d!
-        for d in range(len(lifted) - 1, -1, -1):
-            # nums <- nums * (X - d) + c_d * (n-1)!/d!
-            nums = _times_linear(nums, d)
-            nums[0] += lifted[d] * scale
-            scale *= d
-        den = factorial(len(lifted) - 1)
-        return RationalPoly(tuple(Fraction(n, den) for n in nums))
+        top = len(lifted) - 1
+        den = factorial(top)
+        return RationalPoly(tuple(Fraction(n, den) for n in _to_monomial(lifted, top)))
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -25,6 +25,14 @@ def run(capsys):
     return invoke
 
 
+def assert_usage_error(capsys, message, *argv):
+    """The arguments are rejected before any work: exit 2, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.fixture
 def problem_file(tmp_path):
     def write(text, name="problem.json"):
@@ -273,6 +281,24 @@ class TestCommands:
     def test_count_rejects_zero(self, run):
         code, _, err = run("count", "--domain", "0", "--codomain", "12")
         assert code == 3
+
+    def test_eval_rejects_negative_modulus(self, capsys, problem_file):
+        path = problem_file('{"basis": "binomial", "vars": 1, "codomain": [0], '
+                            '"terms": [[[1], ["1"]]]}')
+        assert_usage_error(capsys, "--modulus: must be >= 0",
+                           "eval", path, "--at", "2", "--modulus", "-3")
+
+    def test_cofract_rejects_zero_period(self, capsys):
+        assert_usage_error(capsys, "q: must be >= 1", "cofract", "3", "0", "9", "1")
+
+    def test_cofract_rejects_negative_modulus(self, capsys):
+        assert_usage_error(capsys, "r: must be >= 0", "cofract", "3", "3", "-9", "1")
+
+    def test_lagrange_rejects_zero_exponent(self, capsys):
+        assert_usage_error(capsys, "alpha: must be >= 1", "lagrange", "2", "0", "1", "0")
+
+    def test_certify_rejects_negative_samples(self, capsys):
+        assert_usage_error(capsys, "--samples: must be >= 0", "certify", "--samples", "-1")
 
     def test_parse_error_exit_code(self, run, problem_file):
         code, _, err = run("classify", problem_file("{broken"))

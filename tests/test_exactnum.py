@@ -80,6 +80,14 @@ class TestResidue:
         with pytest.raises(ValueError):
             Residue(1, -3)
 
+    def test_non_integral_modulus_rejected(self):
+        with pytest.raises(ValueError, match="modulus 7.5 is not an integer"):
+            Residue(3, 7.5)
+
+    def test_non_integral_value_rejected(self):
+        with pytest.raises(ValueError, match="value 2.5 is not an integer"):
+            Residue(2.5, 7)
+
 
 class TestModProject:
     def test_basic(self):

@@ -6,6 +6,7 @@ the five-step route run on ``Fraction`` values (``helpers.ref_*``), and
 reject a polynomial that is not integer valued with the same message.
 """
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from polyfract import (
     merge_variables,
 )
 from polyfract.errors import NotIntegerValued
-from polyfract.uni import stirling_row
 
 from helpers import (
     RefNotIntegerValued,
@@ -94,10 +94,11 @@ class TestStirlingRows:
         assert binom_poly(d) == ref_binom_poly(d)
 
     def test_deep_row_needs_no_recursion(self):
-        # a row far past the interpreter's recursion limit, built cold
-        stirling_row.cache_clear()
-        row = stirling_row(1100)
-        assert len(row) == 1101 and row[0] == 0 and row[1100] == 1
+        # a degree far past the interpreter's recursion limit
+        row = binom_poly(1100)
+        assert len(row) == 1101 and row[0] == 0
+        assert row[1] == Fraction(-1, 1100)  # (-1)^(d-1)/d
+        assert row[1100] == Fraction(1, factorial(1100))
 
 
 class TestUnivariate:
@@ -166,6 +167,19 @@ class TestMultivariate:
             return _from_slots(slots, codomain, nvars)
 
         assert outcome(MultiPolyfract.from_rational, poly, codomain) == outcome(reference)
+
+    def test_deep_two_variable_round_trip(self):
+        # degree 1100, far past the interpreter's recursion limit
+        p = MultiPolyfract((0,), 2, (((1100, 1), (3,)), ((1, 0), (-5,))))
+        assert MultiPolyfract.from_rational(p.to_rational(), (0,)) == p
+
+    def test_rejection_order_reads_the_last_variable_first(self):
+        # x/2 + y/3: both binomial coefficients fail; y's is checked first
+        poly = RationalPolyMulti(2, 1, (((1, 0), (Fraction(1, 2),)),
+                                        ((0, 1), (Fraction(1, 3),))))
+        with pytest.raises(NotIntegerValued) as exc:
+            MultiPolyfract.from_rational(poly, (5,))
+        assert str(exc.value) == "constant coefficient 1/3 is not an integer"
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

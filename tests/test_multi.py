@@ -40,6 +40,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not an integer"):
             RationalPolyMulti(1, 1, (((1.9,), (5,)),))
 
+    def test_non_integral_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="coefficient 2.5 is not an integer"):
+            MultiPolyfract((7,), 1, (((1,), (2.5,)),))
+
 
 class TestEvaluation:
     def test_zero_variable_constant(self):

@@ -42,6 +42,10 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="not an integer"):
             UniPolyfract(6.5, (7,))
 
+    def test_non_integral_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="coefficient 2.5 is not an integer"):
+            UniPolyfract(7, (2.5,))
+
 
 class TestEvaluation:
     def test_indicator_values(self):
