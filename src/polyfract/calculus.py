@@ -7,7 +7,7 @@ q-periodic function is again q-periodic by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Callable, Iterator, Sequence
@@ -74,6 +74,18 @@ class FiniteFn:
         object.__setattr__(self, "values", tuple(rows))
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, domain: tuple[int, ...], codomain: tuple[int, ...],
+                 rows: tuple) -> "FiniteFn":
+        """Build without ``__post_init__``.  The caller guarantees checked
+        moduli tuples and a tuple of canonical row tuples of the right size
+        and width."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain_moduli", domain)
+        object.__setattr__(f, "codomain_moduli", codomain)
+        object.__setattr__(f, "values", rows)
+        return f
 
     @classmethod
     def univariate(cls, q: int, r: int, values: Sequence[int]) -> "FiniteFn":
@@ -145,18 +157,17 @@ class DiffOp:
 
 
 def _shifted_rows(f: FiniteFn, var: int, step: int) -> list[tuple[int, ...]]:
-    """Rows of x -> f(x + step*e_var), using the mixed-radix layout."""
+    """Rows of x -> f(x + step*e_var), using the mixed-radix layout: each
+    run of q_var blocks (one span) is rotated left by step blocks."""
     domain = f.domain_moduli
-    q = domain[var]
     block = prod(domain[var + 1:])
-    span = q * block
-    rows = list(f.values)
-    out = [None] * len(rows)
-    for idx in range(len(rows)):
-        base = (idx // span) * span
-        offset = idx - base
-        shifted = base + (offset + step * block) % span
-        out[idx] = rows[shifted]
+    span = domain[var] * block
+    cut = step * block % span
+    rows = f.values
+    out = []
+    for base in range(0, len(rows), span):
+        out += rows[base + cut:base + span]
+        out += rows[base:base + cut]
     return out
 
 
@@ -166,14 +177,21 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
         raise BadVariableIndex(f"variable {op.var} out of range")
     step = 1 if op.kind == "delta" else op.stride
     shifted = _shifted_rows(f, op.var, step)
+    codomain = f.codomain_moduli
     if op.kind == "shift":
         rows = shifted
+    elif len(codomain) == 1:
+        (r,) = codomain
+        if r:
+            rows = [((a - b) % r,) for (a,), (b,) in zip(shifted, f.values)]
+        else:
+            rows = [(a - b,) for (a,), (b,) in zip(shifted, f.values)]
     else:
         rows = [
-            tuple(a - b for a, b in zip(srow, row))
+            tuple((a - b) % r if r else a - b for a, b, r in zip(srow, row, codomain))
             for srow, row in zip(shifted, f.values)
         ]
-    return replace(f, values=tuple(rows))
+    return FiniteFn._trusted(f.domain_moduli, codomain, tuple(rows))
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:

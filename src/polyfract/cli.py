@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("taylor", help="difference expansion of a cyclic table")
     p.add_argument("problem")
-    p.add_argument("--degree", type=int,
+    p.add_argument("--degree", type=_int_at_least(0),
                    help="expansion degree (default: the map degree)")
     add_basis(p)
     p.set_defaults(func=_cmd_taylor)
@@ -447,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("certify", help="run the theorem verification sweeps")
-    p.add_argument("--max-prime", type=int, default=3)
-    p.add_argument("--max-alpha", type=int, default=2)
-    p.add_argument("--max-beta", type=int, default=2)
+    p.add_argument("--max-prime", type=_int_at_least(2), default=3)
+    p.add_argument("--max-alpha", type=_int_at_least(1), default=2)
+    p.add_argument("--max-beta", type=_int_at_least(1), default=2)
     p.add_argument("--samples", type=_int_at_least(0), default=2000)
-    p.add_argument("--count-limit", type=int, default=5)
+    p.add_argument("--count-limit", type=_int_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-search", type=int, default=1_000_000)
-    p.add_argument("--degree-bound-override", type=int, default=None,
+    p.add_argument("--max-search", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--degree-bound-override", type=_int_at_least(0), default=None,
                    help="override the oracle degree bound (testing only)")
     p.set_defaults(func=_cmd_certify)
 

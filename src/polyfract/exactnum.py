@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import factorial
+from math import comb
 
 from .errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
 
@@ -39,16 +39,16 @@ def as_integer(value, what: str, error: type[Exception] = ValueError) -> int:
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient C(n, k) for any integer n, k >= 0.
 
-    Computed as the falling factorial n(n-1)...(n-k+1) over k!; the
-    division is always exact, so the result is an exact integer even for
-    negative n (e.g. ``binom(-1, 3) == -1``).
+    ``math.comb`` for n >= 0; for negative n the reflection
+    C(n, k) = (-1)^k C(k - n - 1, k), so the result is an exact integer
+    (e.g. ``binom(-1, 3) == -1``).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)
+    if n >= 0:
+        return comb(n, k)
+    c = comb(k - n - 1, k)
+    return -c if k & 1 else c
 
 
 def canonical(value: int, modulus: int) -> int:

@@ -9,6 +9,7 @@ between p-groups.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
@@ -37,7 +38,12 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
         raise ValueError("q must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
-    total = sum((-1) ** xh * binom(d, xh) for xh in range(x % q, d + 1, q))
+    total = 0
+    for xh in range(x % q, d + 1, q):
+        if xh & 1:
+            total -= binom(d, xh)
+        else:
+            total += binom(d, xh)
     return Residue(total, r)
 
 
@@ -108,25 +114,24 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
             f"codomain prime {p} differs from domain prime {domain_primes.pop()}"
         )
 
+    # The weight prod_j (delta_j | delta_j - x_j) is a tensor product, so
+    # the value table is contracted against one axis table at a time.  Each
+    # step sums away the last remaining x axis and puts its delta axis in
+    # front; after all n steps the flat list is in delta order.
     bounds = [periodic_degree_bound(q, r) for q in f.domain_moduli]
-    tables = []
-    for q, d in zip(f.domain_moduli, bounds):
-        tables.append([
-            [cofract(delta, q, r, delta - x).value for x in range(q)]
-            for delta in range(d + 1)
-        ])
-    points = [f.point(i) for i in range(f.size)]
-    terms = []
-    for delta in product(*(range(d + 1) for d in bounds)):
-        acc = 0
-        for x, row in zip(points, f.values):
-            w = row[0]
-            for j, xj in enumerate(x):
-                if not w:
-                    break
-                w *= tables[j][delta[j]][xj]
-            acc += w
-        terms.append((delta, (acc,)))
+    tables = {
+        q: [[cofract(delta, q, r, delta - x).value for x in range(q)]
+            for delta in range(d + 1)]
+        for q, d in dict(zip(f.domain_moduli, bounds)).items()
+    }
+    flat = [row[0] for row in f.values]
+    for q in reversed(f.domain_moduli):
+        blocks = [flat[i:i + q] for i in range(0, len(flat), q)]
+        flat = [sum(map(mul, weights, block)) % r
+                for weights in tables[q] for block in blocks]
+    terms = [(delta, (c,))
+             for delta, c in zip(product(*(range(d + 1) for d in bounds)), flat)
+             if c]
     return MultiPolyfract((r,), f.nvars, tuple(terms))
 
 

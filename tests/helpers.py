@@ -2,11 +2,18 @@
 
 These deliberately avoid the library's own code paths: coefficients come
 from alternating difference sums over plain ``math.comb``, evaluation from
-direct falling-factorial products.
+direct falling-factorial products.  The kernel references at the end
+keep the library's earlier algorithms, built on its ``cofract`` and
+``FiniteFn``.
 """
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
+
+from polyfract import MultiPolyfract
+from polyfract.calculus import periodic_degree_bound
+from polyfract.lagrange import cofract
 
 
 def diff_coeffs(values):
@@ -227,3 +234,55 @@ def ref_merge(terms, width):
             )
         slots.append(rp)
     return slots
+
+
+# -- References for the interpolation and difference kernels ----------------
+#
+# The cofract-weighted interpolation sum and the difference operator as they
+# ran before the axis-by-axis contraction and the row kernel: one coefficient
+# at a time over every table point, and one cell at a time with the result
+# re-canonicalized by ``FiniteFn``'s constructor.
+
+
+def ref_interpolate_prime_power(f):
+    """sum_x prod_j (delta_j | delta_j - x_j)_{q_j, r} f(x) for every delta
+    in the degree box, for a valid single-prime table into Z_r."""
+    (r,) = f.codomain_moduli
+    if r == 1:
+        return MultiPolyfract.zero((1,), f.nvars)
+    bounds = [periodic_degree_bound(q, r) for q in f.domain_moduli]
+    tables = [
+        [[cofract(delta, q, r, delta - x).value for x in range(q)]
+         for delta in range(d + 1)]
+        for q, d in zip(f.domain_moduli, bounds)
+    ]
+    points = [f.point(i) for i in range(f.size)]
+    terms = []
+    for delta in product(*(range(d + 1) for d in bounds)):
+        acc = 0
+        for x, row in zip(points, f.values):
+            w = row[0]
+            for j, xj in enumerate(x):
+                w *= tables[j][delta[j]][xj]
+            acc += w
+        terms.append((delta, (acc,)))
+    return MultiPolyfract((r,), f.nvars, tuple(terms))
+
+
+def ref_apply_diff(op, f):
+    """The difference operator cell by cell; indices wrap mod q_var and the
+    constructor reduces the result."""
+    domain = f.domain_moduli
+    block = math.prod(domain[op.var + 1:])
+    span = domain[op.var] * block
+    step = 1 if op.kind == "delta" else op.stride
+    shifted = []
+    for idx in range(f.size):
+        base = (idx // span) * span
+        shifted.append(f.values[base + (idx - base + step * block) % span])
+    if op.kind == "shift":
+        rows = shifted
+    else:
+        rows = [tuple(a - b for a, b in zip(srow, row))
+                for srow, row in zip(shifted, f.values)]
+    return dataclasses.replace(f, values=tuple(rows))

@@ -1,8 +1,13 @@
 """File formats, command dispatch, exit codes, deterministic emission."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyfract
 from polyfract import MultiPolyfract, UniPolyfract
 from polyfract.cli import (
     emit_polynomial,
@@ -299,6 +304,44 @@ class TestCommands:
 
     def test_certify_rejects_negative_samples(self, capsys):
         assert_usage_error(capsys, "--samples: must be >= 0", "certify", "--samples", "-1")
+
+    def test_taylor_rejects_negative_degree(self, capsys, problem_file):
+        assert_usage_error(capsys, "--degree: must be >= 0",
+                           "taylor", problem_file(INDICATOR_PROBLEM), "--degree", "-1")
+
+    def test_certify_rejects_max_prime_below_two(self, capsys):
+        assert_usage_error(capsys, "--max-prime: must be >= 2",
+                           "certify", "--max-prime", "-3")
+
+    def test_certify_rejects_zero_max_alpha(self, capsys):
+        assert_usage_error(capsys, "--max-alpha: must be >= 1",
+                           "certify", "--max-alpha", "0")
+
+    def test_certify_rejects_zero_max_beta(self, capsys):
+        assert_usage_error(capsys, "--max-beta: must be >= 1",
+                           "certify", "--max-beta", "0")
+
+    def test_certify_rejects_negative_count_limit(self, capsys):
+        assert_usage_error(capsys, "--count-limit: must be >= 0",
+                           "certify", "--count-limit", "-1")
+
+    def test_certify_rejects_zero_max_search(self, capsys):
+        assert_usage_error(capsys, "--max-search: must be >= 1",
+                           "certify", "--max-search", "0")
+
+    def test_certify_rejects_negative_degree_bound_override(self, capsys):
+        assert_usage_error(capsys, "--degree-bound-override: must be >= 0",
+                           "certify", "--degree-bound-override", "-1")
+
+    def test_python_dash_m_runs_the_cli(self, run):
+        argv = ("cofract", "3", "3", "9", "1")
+        code, out, err = run(*argv)
+        src = Path(polyfract.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "polyfract", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
     def test_parse_error_exit_code(self, run, problem_file):
         code, _, err = run("classify", problem_file("{broken"))
