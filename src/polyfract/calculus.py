@@ -181,6 +181,9 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     if op.kind == "shift":
         rows = shifted
     elif len(codomain) == 1:
+        # The Taylor, degree and divisibility tables are all width 1; here
+        # the per-row tuple generator below would cost several times the
+        # subtraction itself.
         (r,) = codomain
         if r:
             rows = [((a - b) % r,) for (a,), (b,) in zip(shifted, f.values)]

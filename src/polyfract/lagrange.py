@@ -130,8 +130,7 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
         flat = [sum(map(mul, weights, block)) % r
                 for weights in tables[q] for block in blocks]
     terms = [(delta, (c,))
-             for delta, c in zip(product(*(range(d + 1) for d in bounds)), flat)
-             if c]
+             for delta, c in zip(product(*(range(d + 1) for d in bounds)), flat)]
     return MultiPolyfract((r,), f.nvars, tuple(terms))
 
 

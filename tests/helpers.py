@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: coefficients come
 from alternating difference sums over plain ``math.comb``, evaluation from
 direct falling-factorial products.  The kernel references at the end
-keep the library's earlier algorithms, built on its ``cofract`` and
-``FiniteFn``.
+keep the library's earlier algorithms; their co-monofract weights come
+from the definition over ``math.comb``, and only ``ref_apply_diff``
+reuses the library's checked ``FiniteFn`` constructor.
 """
 import dataclasses
 import math
@@ -13,7 +14,6 @@ from itertools import product
 
 from polyfract import MultiPolyfract
 from polyfract.calculus import periodic_degree_bound
-from polyfract.lagrange import cofract
 
 
 def diff_coeffs(values):
@@ -244,6 +244,13 @@ def ref_merge(terms, width):
 # re-canonicalized by ``FiniteFn``'s constructor.
 
 
+def ref_cofract(d, q, r, x):
+    """The co-monofract (d | x)_{q,r} from its definition: the sum of
+    (-1)^xh * C(d, xh) over 0 <= xh <= d with xh = x (mod q), mod r."""
+    return sum((-1) ** xh * math.comb(d, xh)
+               for xh in range(d + 1) if (xh - x) % q == 0) % r
+
+
 def ref_interpolate_prime_power(f):
     """sum_x prod_j (delta_j | delta_j - x_j)_{q_j, r} f(x) for every delta
     in the degree box, for a valid single-prime table into Z_r."""
@@ -252,7 +259,7 @@ def ref_interpolate_prime_power(f):
         return MultiPolyfract.zero((1,), f.nvars)
     bounds = [periodic_degree_bound(q, r) for q in f.domain_moduli]
     tables = [
-        [[cofract(delta, q, r, delta - x).value for x in range(q)]
+        [[ref_cofract(delta, q, r, delta - x) for x in range(q)]
          for delta in range(d + 1)]
         for q, d in zip(f.domain_moduli, bounds)
     ]

@@ -1,8 +1,9 @@
 """Binomials, the interpolation contraction and the difference row kernel
 against their references.
 
-``exactnum.binom`` must match the falling-factorial formula,
-``interpolate_prime_power`` the per-coefficient cofract sum
+``exactnum.binom`` must match the falling-factorial formula, ``cofract``
+its definition over ``math.comb`` (``helpers.ref_cofract``),
+``interpolate_prime_power`` the per-coefficient co-monofract sum
 (``helpers.ref_interpolate_prime_power``) and ``apply_diff`` the per-cell
 difference rebuilt through ``FiniteFn``'s constructor
 (``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns must be
@@ -18,12 +19,18 @@ from polyfract import (
     FiniteFn,
     apply_diff,
     binom,
+    cofract,
     extend_information_coeffs,
     interpolate_prime_power,
 )
 from polyfract.calculus import periodic_degree_bound
 
-from helpers import binom_any, ref_apply_diff, ref_interpolate_prime_power
+from helpers import (
+    binom_any,
+    ref_apply_diff,
+    ref_cofract,
+    ref_interpolate_prime_power,
+)
 
 
 class TestBinom:
@@ -37,6 +44,13 @@ class TestBinom:
     def test_rejects_negative_lower_index(self):
         with pytest.raises(ValueError, match="k must be non-negative"):
             binom(5, -1)
+
+
+class TestCofract:
+    @given(st.integers(0, 60), st.integers(1, 9), st.integers(1, 30),
+           st.integers(-20, 20))
+    def test_matches_definition(self, d, q, r, x):
+        assert cofract(d, q, r, x).value == ref_cofract(d, q, r, x)
 
 
 # Largest alpha per (prime, number of variables), so the reference's
