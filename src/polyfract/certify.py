@@ -40,6 +40,9 @@ from .uni import UniPolyfract, coeffs_from_values
 
 __all__ = ["CertifyOptions", "CheckResult", "run_all"]
 
+# Sweeps enumerate every table when there are at most this many, else sample.
+EXHAUSTIVE_LIMIT = 20000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -54,7 +57,6 @@ class CertifyOptions:
     max_alpha: int = 2
     max_beta: int = 2
     samples: int = 2000
-    exhaustive_limit: int = 20000
     count_limit: int = 5
     seed: int = 0
     max_search: int = DEFAULT_MAX_SEARCH
@@ -74,7 +76,7 @@ def _pab_sweep(opts: CertifyOptions):
 
 def _tables(q: int, height: int, opts: CertifyOptions, rng: random.Random):
     """All (or sampled) value tables of length q with entries < height."""
-    if height**q <= opts.exhaustive_limit:
+    if height**q <= EXHAUSTIVE_LIMIT:
         yield from product(range(height), repeat=q)
     else:
         for _ in range(opts.samples):
@@ -230,7 +232,7 @@ def check_degree_bound(opts: CertifyOptions) -> CheckResult:
         q = p**alpha
         bound = degree_bound(p, beta, [alpha])
         best = -1
-        exhaustive = (p**beta) ** q <= opts.exhaustive_limit
+        exhaustive = (p**beta) ** q <= EXHAUSTIVE_LIMIT
         for table in _tables(q, p**beta, opts, rng):
             f = FiniteFn.univariate(q, p**beta, table)
             total, _ = interpolate_prime_power(f).degrees()
@@ -256,7 +258,7 @@ def check_counting(opts: CertifyOptions) -> CheckResult:
     checked = 0
     for q in range(1, limit + 1):
         for r in range(1, limit + 1):
-            if r**q > opts.exhaustive_limit:
+            if r**q > EXHAUSTIVE_LIMIT:
                 continue
             hits = 0
             for table in product(range(r), repeat=q):

@@ -96,22 +96,23 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
 
     Scans primes in order and domain points lexicographically, grouping
     points by their block coordinates; the first block output that varies
-    within a group yields the reported counterexample.
+    within a group yields the reported counterexample.  The first point of
+    a group is its block point a itself (a_j < P_j <= q_j), so the group's
+    key doubles as that point.
     """
     dom, cod = _splits(f)
     for i, p in enumerate(dom.primes):
-        seen: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for x in f.points():
-            key = dom.block(i, x)
-            out = cod.block(i, f.value(x))
-            if key in seen:
-                first, expected = seen[key]
-                if expected != out:
-                    return ClassificationResult(
-                        False, counterexample=Counterexample(p, first, x)
-                    )
-            else:
-                seen[key] = (x, out)
+        in_parts = dom.parts[i]
+        out_parts = cod.parts[i]
+        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for x, y in zip(f.points(), f.values):
+            key = tuple(a % m for a, m in zip(x, in_parts))
+            out = tuple(b % m for b, m in zip(y, out_parts))
+            expected = seen.setdefault(key, out)
+            if expected != out:
+                return ClassificationResult(
+                    False, counterexample=Counterexample(p, key, x)
+                )
     return ClassificationResult(True)
 
 
@@ -144,28 +145,19 @@ def represent(f: FiniteFn) -> Witness:
     nvars = len(dom.primes) * n
     codomain = cod.flat_moduli
     terms: dict[tuple[int, ...], list[int]] = {}
-    for i in range(len(dom.primes)):
-        block_domain = dom.parts[i]
-        positions = [i * n + j for j in range(n)]
-        for k in range(t):
-            m = cod.parts[i][k]
+    for i, block_domain in enumerate(dom.parts):
+        # A block point is a domain point of that block, and the block test
+        # has shown the block output does not depend on the representative.
+        # The table constructor reduces each value into the block Z_m.
+        outputs = [f.value(a) for a in product(*(range(q) for q in block_domain))]
+        for k, m in enumerate(cod.parts[i]):
             if m == 1:
                 continue
             slot = i * t + k
-
-            def block_value(a: tuple[int, ...]) -> tuple[int]:
-                coords = [0] * nvars
-                for pos, aj in zip(positions, a):
-                    coords[pos] = aj
-                x = dom.unsplit(coords)
-                return (f.value(x)[k] % m,)
-
-            table = FiniteFn.from_callable(block_domain, (m,), block_value)
-            block_poly = interpolate_prime_power(table)
-            for exp, (c,) in block_poly.terms:
+            table = FiniteFn(block_domain, (m,), tuple((y[k],) for y in outputs))
+            for exp, (c,) in interpolate_prime_power(table).terms:
                 full_exp = [0] * nvars
-                for pos, e in zip(positions, exp):
-                    full_exp[pos] = e
+                full_exp[i * n:(i + 1) * n] = exp
                 row = terms.setdefault(tuple(full_exp), [0] * len(codomain))
                 row[slot] = c
     poly = MultiPolyfract(

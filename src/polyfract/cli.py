@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from math import prod
 from typing import Sequence
@@ -72,11 +73,25 @@ def _encode_mixed_radix(coords: Sequence[int], moduli: Sequence[int]) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object hook: a key given twice is an error, not last-wins."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValidationError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer beyond the digit limit
+        raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
 
 
 def _require_keys(data: dict, keys: set[str], what: str) -> None:
@@ -198,40 +213,21 @@ def emit_polynomial(poly: MultiPolyfract | RationalPolyMulti,
     if isinstance(poly, RationalPolyMulti):
         if codomain is None:
             raise ValidationError("rational payloads need an explicit codomain")
-        doc = {
-            "basis": "monomial",
-            "vars": poly.nvars,
-            "codomain": list(codomain),
-            "terms": [
-                [list(exp), [str(c) for c in coeffs]]
-                for exp, coeffs in poly.terms
-            ],
-        }
-        return json.dumps(doc) + "\n"
-    if basis == "binomial":
-        terms = [
-            [list(exp), [str(c) for c in coeffs]] for exp, coeffs in poly.terms
-        ]
-        doc = {
-            "basis": "binomial",
-            "vars": poly.nvars,
-            "codomain": list(poly.codomain),
-            "terms": terms,
-        }
+        basis, payload = "monomial", poly
+    elif basis == "binomial":
+        codomain, payload = poly.codomain, poly
     elif basis == "monomial":
-        rational = poly.to_rational(lift="balanced")
-        terms = [
-            [list(exp), [str(c) for c in coeffs]]
-            for exp, coeffs in rational.terms
-        ]
-        doc = {
-            "basis": "monomial",
-            "vars": poly.nvars,
-            "codomain": list(poly.codomain),
-            "terms": terms,
-        }
+        codomain, payload = poly.codomain, poly.to_rational(lift="balanced")
     else:
         raise ValidationError(f"unknown basis {basis!r}")
+    doc = {
+        "basis": basis,
+        "vars": poly.nvars,
+        "codomain": list(codomain),
+        "terms": [
+            [list(exp), [str(c) for c in coeffs]] for exp, coeffs in payload.terms
+        ],
+    }
     return json.dumps(doc) + "\n"
 
 
@@ -247,12 +243,12 @@ def _polyfract_from_file(text: str) -> MultiPolyfract:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -356,16 +352,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    opts = CertifyOptions(
-        max_prime=args.max_prime,
-        max_alpha=args.max_alpha,
-        max_beta=args.max_beta,
-        samples=args.samples,
-        count_limit=args.count_limit,
-        seed=args.seed,
-        max_search=args.max_search,
-        degree_bound_override=args.degree_bound_override,
-    )
+    opts = CertifyOptions(**{f.name: getattr(args, f.name)
+                             for f in fields(CertifyOptions)})
     results = run_all(opts)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -447,14 +435,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("certify", help="run the theorem verification sweeps")
-    p.add_argument("--max-prime", type=_int_at_least(2), default=3)
-    p.add_argument("--max-alpha", type=_int_at_least(1), default=2)
-    p.add_argument("--max-beta", type=_int_at_least(1), default=2)
-    p.add_argument("--samples", type=_int_at_least(0), default=2000)
-    p.add_argument("--count-limit", type=_int_at_least(0), default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-search", type=_int_at_least(1), default=1_000_000)
-    p.add_argument("--degree-bound-override", type=_int_at_least(0), default=None,
+    p.add_argument("--max-prime", type=_int_at_least(2),
+                   default=CertifyOptions.max_prime)
+    p.add_argument("--max-alpha", type=_int_at_least(1),
+                   default=CertifyOptions.max_alpha)
+    p.add_argument("--max-beta", type=_int_at_least(1),
+                   default=CertifyOptions.max_beta)
+    p.add_argument("--samples", type=_int_at_least(0),
+                   default=CertifyOptions.samples)
+    p.add_argument("--count-limit", type=_int_at_least(0),
+                   default=CertifyOptions.count_limit)
+    p.add_argument("--seed", type=int, default=CertifyOptions.seed)
+    p.add_argument("--max-search", type=_int_at_least(1),
+                   default=CertifyOptions.max_search)
+    p.add_argument("--degree-bound-override", type=_int_at_least(0),
+                   default=CertifyOptions.degree_bound_override,
                    help="override the oracle degree bound (testing only)")
     p.set_defaults(func=_cmd_certify)
 

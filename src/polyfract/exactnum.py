@@ -109,15 +109,8 @@ class Residue:
         self._check(other)
         return Residue(self.value * other.value, self.modulus)
 
-    def scale(self, k: int) -> "Residue":
-        return Residue(k * self.value, self.modulus)
-
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def lift(self) -> int:
-        """Canonical integer representative."""
-        return self.value
 
     def __repr__(self) -> str:
         return f"{self.value} mod {self.modulus}"

@@ -189,12 +189,6 @@ class UniPolyfract:
         return cls(modulus, (0,) * delta + (1,))
 
     @classmethod
-    def from_values(cls, values: Sequence[int], modulus: int) -> "UniPolyfract":
-        """Polyfract of degree < len(values) matching f(0), f(1), ... f(m)."""
-        residues = [Residue(v, modulus) for v in values]
-        return cls(modulus, tuple(r.value for r in coeffs_from_values(residues)))
-
-    @classmethod
     def from_rational(cls, poly: RationalPoly, modulus: int) -> "UniPolyfract":
         """Unique polyfract inducing the same map mod r as an integer-valued
         rational polynomial; raises NotIntegerValued otherwise."""

@@ -5,7 +5,10 @@ from alternating difference sums over plain ``math.comb``, evaluation from
 direct falling-factorial products.  The kernel references at the end
 keep the library's earlier algorithms; their co-monofract weights come
 from the definition over ``math.comb``, and only ``ref_apply_diff``
-reuses the library's checked ``FiniteFn`` constructor.
+reuses the library's checked ``FiniteFn`` constructor.  ``ref_block_scan``
+is the block test as it ran before it keyed groups by their block point,
+with the prime parts worked out by trial division; ``block_built_rows``
+builds polyfractal tables from per-prime block maps on the same parts.
 """
 import dataclasses
 import math
@@ -293,3 +296,74 @@ def ref_apply_diff(op, f):
         rows = [tuple(a - b for a, b in zip(srow, row))
                 for srow, row in zip(shifted, f.values)]
     return dataclasses.replace(f, values=tuple(rows))
+
+
+# -- reference block scan and block-built tables ---------------------------
+#
+# The block-dependency test with each group remembering its first point
+# explicitly, and tables assembled block by block, on prime parts found by
+# trial division instead of the library's ``Splitting``.
+
+
+def _prime_divisors(n):
+    found, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            found.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return found + [n] if n > 1 else found
+
+
+def _prime_part(q, p):
+    part = 1
+    while q % p == 0:
+        q //= p
+        part *= p
+    return part
+
+
+def ref_block_scan(f):
+    """None when every prime's output block depends only on its input
+    block, else (prime, first, second) for the first clash: primes
+    ascending, points in table order, ``first`` the earliest point of the
+    group that ``second`` joins with a different block output."""
+    moduli = f.domain_moduli + f.codomain_moduli
+    primes = sorted({p for q in moduli for p in _prime_divisors(q)})
+    for p in primes:
+        in_parts = [_prime_part(q, p) for q in f.domain_moduli]
+        out_parts = [_prime_part(r, p) for r in f.codomain_moduli]
+        seen = {}
+        points = product(*(range(q) for q in f.domain_moduli))
+        for x, y in zip(points, f.values):
+            key = tuple(a % m for a, m in zip(x, in_parts))
+            out = tuple(b % m for b, m in zip(y, out_parts))
+            if key not in seen:
+                seen[key] = (x, out)
+            elif seen[key][1] != out:
+                return p, seen[key][0], x
+    return None
+
+
+def block_built_rows(domain, codomain, rng):
+    """Rows of a polyfractal table: one random map per prime from the
+    domain's p-block to the codomain's p-block, recombined into each
+    codomain factor by searching Z_r for the residues (no library CRT)."""
+    primes = sorted({p for m in domain + codomain for p in _prime_divisors(m)})
+    in_parts = {p: [_prime_part(q, p) for q in domain] for p in primes}
+    out_parts = {p: [_prime_part(r, p) for r in codomain] for p in primes}
+    block_maps = {p: {} for p in primes}
+    lift = [{tuple(y % out_parts[p][k] for p in primes): y for y in range(r)}
+            for k, r in enumerate(codomain)]
+    rows = []
+    for x in product(*(range(q) for q in domain)):
+        outs = []
+        for p in primes:
+            a = tuple(xj % m for xj, m in zip(x, in_parts[p]))
+            if a not in block_maps[p]:
+                block_maps[p][a] = tuple(rng.randrange(m) for m in out_parts[p])
+            outs.append(block_maps[p][a])
+        rows.append(tuple(lift[k][tuple(o[k] for o in outs)]
+                          for k in range(len(codomain))))
+    return rows

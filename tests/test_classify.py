@@ -1,11 +1,15 @@
 """End-to-end classification, representation, counting, and the oracle."""
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from polyfract import (
+    Counterexample,
     FiniteFn,
     Residue,
     UniPolyfract,
@@ -24,7 +28,7 @@ from polyfract.errors import (
     TooLarge,
 )
 
-from helpers import all_tables
+from helpers import all_tables, block_built_rows, ref_block_scan
 
 
 def family_map(g0, g1, c):
@@ -352,3 +356,51 @@ class TestCountingAgreement:
             f = FiniteFn(domain, codomain, tuple(rows))
             hits += is_polyfractal(f).polyfractal
         assert hits == count_polyfractal(domain, codomain)
+
+
+# Moduli whose prime parts mix 2, 3 and 5.
+MIXED_MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 30)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Tables on 1-3 domain and 1-2 codomain factors over the primes 2, 3
+    and 5, at most 200 points: polyfractal by construction, the same with
+    one cell changed, or uniformly random."""
+    domain = tuple(draw(st.lists(st.sampled_from(MIXED_MODULI), min_size=1,
+                                 max_size=3).filter(lambda d: prod(d) <= 200)))
+    codomain = tuple(draw(st.lists(st.sampled_from(MIXED_MODULI), min_size=1,
+                                   max_size=2)))
+    kind = draw(st.sampled_from(("blocks", "perturbed", "random")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        rows = [tuple(rng.randrange(r) for r in codomain)
+                for _ in range(prod(domain))]
+    else:
+        rows = block_built_rows(domain, codomain, rng)
+        if kind == "perturbed":
+            i = rng.randrange(len(rows))
+            rows[i] = tuple(rng.randrange(r) for r in codomain)
+    return FiniteFn(domain, codomain, tuple(rows))
+
+
+class TestBlockScanDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_tables())
+    def test_scan_and_construction_match_reference(self, f):
+        expected = ref_block_scan(f)
+        event("polyfractal" if expected is None else f"split at prime {expected[0]}")
+        result = is_polyfractal(f)
+        if expected is None:
+            assert result.polyfractal
+            witness = represent(f)
+            for x, row in zip(f.points(), f.values):
+                assert tuple(v.value for v in witness.evaluate(x)) == row
+        else:
+            assert not result.polyfractal
+            assert result.counterexample == Counterexample(*expected)
+            assert counterexample_is_valid(f, result.counterexample)
+            prime, first, second = expected
+            with pytest.raises(NotPolyfractal, match=re.escape(
+                    f"block {prime}: points {first} and {second} split")):
+                represent(f)

@@ -9,7 +9,9 @@ import pytest
 
 import polyfract
 from polyfract import MultiPolyfract, UniPolyfract
+from polyfract.certify import CertifyOptions
 from polyfract.cli import (
+    build_parser,
     emit_polynomial,
     emit_problem,
     main,
@@ -144,6 +146,51 @@ class TestPolynomialFiles:
         assert text == emit_polynomial(poly, "monomial")
         with pytest.raises(ValidationError):
             emit_polynomial(rational)
+
+
+class TestMalformedFiles:
+    """Every malformed problem or polynomial file exits 2 with one
+    ``error:`` line, never a traceback."""
+
+    PROBLEM = b'{"domain": [2], "codomain": [4], "values": [1, 2]}'
+    POLYNOMIAL = b'{"basis": "binomial", "vars": 1, "codomain": [9], "terms": []}'
+
+    def assert_rejected(self, run, tmp_path, content, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(content)
+        if kind == "problem":
+            code, out, err = run("classify", str(path))
+        else:
+            code, out, err = run("eval", str(path), "--at", "0")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["problem", "polynomial"])
+    def test_non_utf8_bytes(self, run, tmp_path, kind):
+        text = self.PROBLEM if kind == "problem" else self.POLYNOMIAL
+        self.assert_rejected(run, tmp_path, text[:-1] + b', "x": "\xff"}', kind)
+
+    @pytest.mark.parametrize("kind", ["problem", "polynomial"])
+    def test_deep_nesting(self, run, tmp_path, kind):
+        self.assert_rejected(run, tmp_path, b"[" * 100_000, kind)
+
+    def test_duplicate_key_in_problem(self, run, tmp_path):
+        # last-wins would classify a map Z_2 -> Z_3
+        self.assert_rejected(
+            run, tmp_path, self.PROBLEM[:-1] + b', "codomain": [3]}', "problem")
+
+    def test_duplicate_key_in_polynomial(self, run, tmp_path):
+        self.assert_rejected(
+            run, tmp_path, self.POLYNOMIAL[:-1] + b', "vars": 1}', "polynomial")
+
+    def test_integer_beyond_digit_limit(self, run, tmp_path):
+        huge = self.PROBLEM.replace(b"2]}", b"9" * 5000 + b"]}")
+        self.assert_rejected(run, tmp_path, huge, "problem")
+
+    def test_duplicate_key_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="duplicate key 'codomain'"):
+            parse_problem(self.PROBLEM[:-1].decode() + ', "codomain": [3]}')
 
 
 class TestCommands:
@@ -354,6 +401,12 @@ class TestCommands:
     def test_missing_file_exit_code(self, run):
         code, _, err = run("classify", "/nonexistent/nowhere.json")
         assert code == 2
+
+    def test_certify_defaults_come_from_options(self):
+        args = build_parser().parse_args(["certify"])
+        assert CertifyOptions(**{
+            name: getattr(args, name) for name in vars(CertifyOptions())
+        }) == CertifyOptions()
 
     def test_certify_quick(self, run):
         code, out, _ = run(
