@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import index
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -63,15 +64,32 @@ class FiniteFn:
         object.__setattr__(self, "domain_moduli", domain)
         object.__setattr__(self, "codomain_moduli", codomain)
         size = prod(domain)
-        rows = [
-            tuple(canonical(v, r) for v, r in zip(row, codomain))
-            for row in self.values
-        ]
+        rows = tuple(self.values)
         if len(rows) != size:
             raise ValueError(f"expected {size} table rows, got {len(rows)}")
         if any(len(row) != len(codomain) for row in rows):
             raise ValueError("row width differs from codomain width")
-        object.__setattr__(self, "values", tuple(rows))
+        try:
+            if len(codomain) == 1:
+                # Most tables are width 1 (half of certify's are the
+                # divisibility sweep's tables over Z); here the per-row
+                # generator below would cost several times the reduction.
+                (r,) = codomain
+                if r:
+                    rows = tuple([(index(v) % r,) for (v,) in rows])
+                else:
+                    rows = tuple([(index(v),) for (v,) in rows])
+            else:
+                rows = tuple(
+                    tuple(index(v) % r if r else index(v) for v, r in zip(row, codomain))
+                    for row in rows
+                )
+        except TypeError:
+            for row in rows:
+                for v in row:
+                    as_integer(v, "table value")
+            raise
+        object.__setattr__(self, "values", rows)
 
     # -- constructors ---------------------------------------------------
 

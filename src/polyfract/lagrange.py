@@ -8,6 +8,7 @@ between p-groups.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import Sequence
@@ -45,6 +46,16 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
         else:
             total += binom(d, xh)
     return Residue(total, r)
+
+
+@lru_cache(maxsize=64)
+def _weights(q: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The interpolation weights (delta | delta - x)_{q,r} for 0 <= delta <= d
+    and 0 <= x < q, d the q-periodic degree bound mod r, one row per delta.
+    Tuples, because every interpolation on the same (q, r) shares them."""
+    d = periodic_degree_bound(q, r)
+    return tuple(tuple(cofract(delta, q, r, delta - x).value for x in range(q))
+                 for delta in range(d + 1))
 
 
 def lagrange_polyfract(p: int, alpha: int, beta: int, x0: int) -> UniPolyfract:
@@ -118,20 +129,17 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     # the value table is contracted against one axis table at a time.  Each
     # step sums away the last remaining x axis and puts its delta axis in
     # front; after all n steps the flat list is in delta order.
-    bounds = [periodic_degree_bound(q, r) for q in f.domain_moduli]
-    tables = {
-        q: [[cofract(delta, q, r, delta - x).value for x in range(q)]
-            for delta in range(d + 1)]
-        for q, d in dict(zip(f.domain_moduli, bounds)).items()
-    }
+    tables = {q: _weights(q, r) for q in set(f.domain_moduli)}
     flat = [row[0] for row in f.values]
     for q in reversed(f.domain_moduli):
         blocks = [flat[i:i + q] for i in range(0, len(flat), q)]
         flat = [sum(map(mul, weights, block)) % r
                 for weights in tables[q] for block in blocks]
-    terms = [(delta, (c,))
-             for delta, c in zip(product(*(range(d + 1) for d in bounds)), flat)]
-    return MultiPolyfract((r,), f.nvars, tuple(terms))
+    # Every c is reduced mod r and the exponents come in product order,
+    # which is the sorted order the constructor would produce.
+    deltas = product(*(range(len(tables[q])) for q in f.domain_moduli))
+    terms = tuple((delta, (c,)) for delta, c in zip(deltas, flat) if c)
+    return MultiPolyfract._trusted((r,), f.nvars, terms)
 
 
 def extend_information_coeffs(info: Sequence[int], p: int, alpha: int,

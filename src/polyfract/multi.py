@@ -188,6 +188,19 @@ class MultiPolyfract:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, codomain: tuple[int, ...], nvars: int,
+                 terms: tuple) -> "MultiPolyfract":
+        """Build without ``__post_init__``.  The caller guarantees a checked
+        codomain tuple and a tuple of terms sorted by exponent, each an int
+        exponent tuple of arity ``nvars`` with a coefficient tuple of
+        canonical ints, one per codomain slot, not all zero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "codomain", codomain)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, codomain: Sequence[int], nvars: int) -> "MultiPolyfract":
         return cls(tuple(codomain), nvars, ())
 

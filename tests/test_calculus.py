@@ -40,6 +40,27 @@ class TestFiniteFnModuli:
             FiniteFn((2,), (4.0,), ((0,), (1,)))
 
 
+class TestFiniteFnValues:
+    def test_non_integer_value_rejected_modulo_r(self):
+        with pytest.raises(ValueError, match=r"^table value 2\.5 is not an integer$"):
+            FiniteFn((2,), (3,), ((2.5,), (1,)))
+
+    def test_non_integer_value_rejected_over_z(self):
+        with pytest.raises(ValueError, match=r"^table value 2\.5 is not an integer$"):
+            FiniteFn((2,), (0,), ((2.5,), (1,)))
+
+    def test_non_integer_value_rejected_in_wide_rows(self):
+        with pytest.raises(ValueError, match=r"^table value 2\.0 is not an integer$"):
+            FiniteFn((2,), (3, 4), ((1, 2), (0, 2.0)))
+
+    def test_bools_are_integers(self):
+        assert FiniteFn((2,), (3,), ((True,), (False,))).values == ((1,), (0,))
+
+    def test_rows_wider_than_codomain_rejected(self):
+        with pytest.raises(ValueError, match="row width differs from codomain width"):
+            FiniteFn((1,), (3,), ((1, 2),))
+
+
 class TestApplyDiff:
     def test_difference_of_binomial_window(self):
         # the wrap-around entry aside, differencing C(X,2) values gives C(X,1)

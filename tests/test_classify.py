@@ -20,6 +20,7 @@ from polyfract import (
     represent,
     represent_univariate,
 )
+from polyfract.calculus import periodic_degree_bound
 from polyfract.errors import (
     ArityMismatch,
     InfiniteGroup,
@@ -371,6 +372,12 @@ def mixed_tables(draw):
                                  max_size=3).filter(lambda d: prod(d) <= 200)))
     codomain = tuple(draw(st.lists(st.sampled_from(MIXED_MODULI), min_size=1,
                                    max_size=2)))
+    return FiniteFn(domain, codomain, _draw_rows(draw, domain, codomain))
+
+
+def _draw_rows(draw, domain, codomain):
+    """Rows polyfractal by construction, the same with one cell changed, or
+    uniformly random."""
     kind = draw(st.sampled_from(("blocks", "perturbed", "random")))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if kind == "random":
@@ -381,7 +388,30 @@ def mixed_tables(draw):
         if kind == "perturbed":
             i = rng.randrange(len(rows))
             rows[i] = tuple(rng.randrange(r) for r in codomain)
-    return FiniteFn(domain, codomain, tuple(rows))
+    return tuple(rows)
+
+
+# Cyclic (q, r) over the primes 2, 3 and 5 whose oracle search space
+# r^(bound+1) stays within 20,000, so the oracle never raises TooLarge.
+ORACLE_PAIRS = tuple(
+    (q, r) for q in MIXED_MODULI for r in MIXED_MODULI
+    if r ** (periodic_degree_bound(q, r) + 1) <= 20_000
+)
+
+
+@st.composite
+def cyclic_tables(draw):
+    q, r = draw(st.sampled_from(ORACLE_PAIRS))
+    return FiniteFn((q,), (r,), _draw_rows(draw, (q,), (r,)))
+
+
+class TestOracleDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(cyclic_tables())
+    def test_block_test_matches_brute_force(self, f):
+        verdict = brute_force_polyfractal(f)
+        event("polyfractal" if verdict else "not polyfractal")
+        assert is_polyfractal(f).polyfractal == verdict
 
 
 class TestBlockScanDifferential:

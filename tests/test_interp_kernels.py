@@ -6,8 +6,10 @@ its definition over ``math.comb`` (``helpers.ref_cofract``),
 ``interpolate_prime_power`` the per-coefficient co-monofract sum
 (``helpers.ref_interpolate_prime_power``) and ``apply_diff`` the per-cell
 difference rebuilt through ``FiniteFn``'s constructor
-(``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns must be
-one the checked constructor would build from the same rows.
+(``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns, and
+every polyfract ``interpolate_prime_power`` returns, must be one the
+checked constructor would build from the same data; the constructor's
+row reduction must match the per-cell ``canonical``.
 """
 from math import prod
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from polyfract import (
     DiffOp,
     FiniteFn,
+    MultiPolyfract,
     apply_diff,
     binom,
     cofract,
@@ -24,6 +27,7 @@ from polyfract import (
     interpolate_prime_power,
 )
 from polyfract.calculus import periodic_degree_bound
+from polyfract.exactnum import canonical
 
 from helpers import (
     binom_any,
@@ -79,7 +83,22 @@ class TestInterpolation:
     @settings(max_examples=150, deadline=None)
     @given(prime_power_tables())
     def test_matches_cofract_sum(self, f):
-        assert interpolate_prime_power(f) == ref_interpolate_prime_power(f)
+        g = interpolate_prime_power(f)
+        assert g == ref_interpolate_prime_power(f)
+        assert MultiPolyfract(g.codomain, g.nvars, g.terms) == g
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((2, 3, 5)), st.integers(0, 2),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3), st.data())
+    def test_shared_weights_follow_the_codomain(self, p, alpha, betas, data):
+        # one domain Z_{p^alpha} into several Z_{p^beta}, in an interleaved
+        # order that repeats a (q, r): each result is its own table's
+        q = p**alpha
+        for beta in betas + betas[:1]:
+            r = p**beta
+            values = data.draw(st.lists(st.integers(0, r - 1), min_size=q, max_size=q))
+            f = FiniteFn.univariate(q, r, values)
+            assert interpolate_prime_power(f) == ref_interpolate_prime_power(f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((2, 3, 5)), st.integers(1, 2), st.integers(1, 3), st.data())
@@ -97,9 +116,9 @@ MODULI = (0, 1, 2, 3, 4, 8, 9, 25, 27)
 
 
 @st.composite
-def mixed_tables(draw):
-    """A table on 1-3 small cyclic factors into a width 1-3 codomain that
-    mixes Z, the trivial group and prime powers."""
+def raw_tables(draw):
+    """Moduli and unreduced rows of a table on 1-3 small cyclic factors into
+    a width 1-3 codomain that mixes Z, the trivial group and prime powers."""
     domain = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
     codomain = tuple(draw(st.lists(st.sampled_from(MODULI), min_size=1, max_size=3)))
     size = prod(domain)
@@ -107,7 +126,21 @@ def mixed_tables(draw):
         st.tuples(*(st.integers(-60, 60) for _ in codomain)),
         min_size=size, max_size=size,
     ))
-    return FiniteFn(domain, codomain, tuple(rows))
+    return domain, codomain, tuple(rows)
+
+
+def mixed_tables():
+    return raw_tables().map(lambda t: FiniteFn(*t))
+
+
+class TestFiniteFnRows:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_tables())
+    def test_matches_per_cell_canonical(self, table):
+        domain, codomain, rows = table
+        expected = tuple(tuple(canonical(v, r) for v, r in zip(row, codomain))
+                         for row in rows)
+        assert FiniteFn(domain, codomain, rows).values == expected
 
 
 class TestApplyDiff:
