@@ -70,15 +70,11 @@ class FiniteFn:
         if any(len(row) != len(codomain) for row in rows):
             raise ValueError("row width differs from codomain width")
         try:
-            if len(codomain) == 1:
-                # Most tables are width 1 (half of certify's are the
-                # divisibility sweep's tables over Z); here the per-row
-                # generator below would cost several times the reduction.
-                (r,) = codomain
-                if r:
-                    rows = tuple([(index(v) % r,) for (v,) in rows])
-                else:
-                    rows = tuple([(index(v),) for (v,) in rows])
+            if len(codomain) == 1 and codomain[0]:
+                # Most tables are width 1; here the per-row generator below
+                # would cost several times the reduction.
+                r = codomain[0]
+                rows = tuple([(index(v) % r,) for (v,) in rows])
             else:
                 rows = tuple(
                     tuple(index(v) % r if r else index(v) for v, r in zip(row, codomain))
