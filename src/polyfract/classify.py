@@ -137,7 +137,7 @@ def represent(f: FiniteFn) -> Witness:
     if not result.polyfractal:
         ce = result.counterexample
         raise NotPolyfractal(
-            f"block {ce.prime}: points {ce.first} and {ce.second} split the block"
+            f"block {ce.prime}: points {ce.first} and {ce.second} split the block", ce
         )
     dom, cod = _splits(f)
     n = dom.width

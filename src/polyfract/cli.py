@@ -32,10 +32,10 @@ from typing import Sequence
 
 from .calculus import FiniteFn, map_degree, taylor_expand
 from .certify import CertifyOptions, run_all
-from .classify import is_polyfractal, represent, represent_univariate
-from .classify import count_polyfractal
+from .classify import count_polyfractal, represent, represent_univariate
 from .errors import (
     InfiniteGroup,
+    NotPolyfractal,
     ParseError,
     PolyfractError,
     TooLarge,
@@ -261,21 +261,21 @@ def _parse_point(text: str) -> tuple[int, ...]:
 
 def _cmd_classify(args) -> int:
     table = parse_problem(_read(args.problem))
-    result = is_polyfractal(table)
-    if result.polyfractal:
-        print("polyfractal: yes")
-        witness = represent(table)
-        total, _ = witness.polyfract.degrees()
-        print(f"variables: {witness.polyfract.nvars}")
-        print(f"split codomain: {list(witness.polyfract.codomain)}")
-        print(f"terms: {len(witness.polyfract.terms)}")
-        print(f"total degree: {total if total is not None else 'none'}")
-    else:
-        ce = result.counterexample
+    try:
+        poly = represent(table).polyfract
+    except NotPolyfractal as exc:
+        ce = exc.counterexample
         print("polyfractal: no")
         print(f"counterexample prime: {ce.prime}")
         print(f"counterexample x: {list(ce.first)}")
         print(f"counterexample y: {list(ce.second)}")
+        return 0
+    total, _ = poly.degrees()
+    print("polyfractal: yes")
+    print(f"variables: {poly.nvars}")
+    print(f"split codomain: {list(poly.codomain)}")
+    print(f"terms: {len(poly.terms)}")
+    print(f"total degree: {total if total is not None else 'none'}")
     return 0
 
 

@@ -88,7 +88,12 @@ class CoprimalityViolation(PreconditionError):
 
 
 class NotPolyfractal(PreconditionError):
-    """The map cannot be represented by any rational polynomial."""
+    """The map cannot be represented by any rational polynomial;
+    ``counterexample`` holds the ``classify.Counterexample`` that shows it."""
+
+    def __init__(self, message: str, counterexample=None):
+        super().__init__(message)
+        self.counterexample = counterexample
 
 
 class NotCyclic(PreconditionError):

@@ -5,8 +5,11 @@ codomain factor; the induced map sends x to the componentwise-reduced sum
 of coeff * C(x_1, d_1) * ... * C(x_n, d_n).  Ring arithmetic works slot by
 slot, with multiplication running the five-step procedure generalized to n
 variables: expand into sparse rational monomials, multiply, re-express in
-the binomial basis, reduce.  Both basis changes run the univariate kernels
-``uni._to_monomial`` and ``uni._to_falling`` along one variable at a time.
+the binomial basis, reduce.  Both basis changes are the n-variable drivers
+in ``uni`` (``_expand_to_monomials`` and ``_binomial_coeffs``), which run
+the univariate kernels ``_to_monomial`` and ``_to_falling`` along one
+variable at a time; ``NotIntegerValued`` names the first coefficient that
+is not an integer by its exponent tuple, or by its degree for one variable.
 The rational monomials are kept as integer numerators over one denominator
 per polynomial; ``Fraction`` appears only in ``RationalPolyMulti``, the
 monomial-basis edge.
@@ -15,14 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
-from math import factorial, prod
+from math import factorial
 from typing import Callable, Mapping, Sequence
 
-from .errors import ArityMismatch, ModulusMismatch, NotIntegerValued
+from .errors import ArityMismatch, ModulusMismatch
 from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
-from .uni import RationalPoly, UniPolyfract, _numerators, _to_falling, _to_monomial
+from .uni import (
+    RationalPoly, UniPolyfract, _MPoly, _binomial_coeffs, _expand_to_monomials,
+    _numerators, _to_monomial,
+)
 
 __all__ = [
     "MultiPolyfract",
@@ -32,47 +37,32 @@ __all__ = [
     "merge_variables",
 ]
 
-# Internal sparse polynomials with integer coefficients: exponent tuple ->
-# int.  A rational polynomial is such a dict of numerators together with
-# one shared denominator.
-_MPoly = dict
+def _normal_terms(terms, nvars: int, width: int,
+                  coerce: Callable[[tuple], tuple]) -> tuple:
+    """The unique term form: one term per exponent (the last given wins),
+    each an int exponent tuple of arity ``nvars`` with a coefficient tuple
+    of ``width`` entries passed through ``coerce``, all-zero coefficient
+    tuples dropped, sorted by exponent."""
+    cleaned = []
+    for exp, coeffs in dict(terms).items():
+        exp = tuple(as_integer(e, "exponent") for e in exp)
+        if len(exp) != nvars:
+            raise ArityMismatch(f"exponent {exp} has arity != {nvars}")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != width:
+            raise ArityMismatch("coefficient tuple width mismatch")
+        coeffs = coerce(coeffs)
+        if any(coeffs):
+            cleaned.append((exp, coeffs))
+    cleaned.sort(key=lambda t: t[0])
+    return tuple(cleaned)
 
 
-def _exponent(exp: Sequence[int]) -> tuple[int, ...]:
-    return tuple(as_integer(e, "exponent") for e in exp)
-
-
-def _along(poly: _MPoly, axis: int,
-           kernel: Callable[[list[int]], list[int]]) -> _MPoly:
-    """Apply a dense univariate kernel to a sparse polynomial along one
-    variable: the terms are grouped by their other exponents, each group
-    becomes one dense row indexed by the exponent of ``axis``, and the
-    kernel's output rows are scattered back."""
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for exp, c in poly.items():
-        row = rows.setdefault(exp[:axis] + exp[axis + 1:], [])
-        k = exp[axis]
-        if k >= len(row):
-            row.extend([0] * (k + 1 - len(row)))
-        row[k] = c
-    out: _MPoly = {}
-    for rest, row in rows.items():
-        head, tail = rest[:axis], rest[axis:]
-        for k, v in enumerate(kernel(row)):
-            if v:
-                out[head + (k,) + tail] = v
-    return out
-
-
-def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> tuple[_MPoly, int]:
-    """Monomial numerators of sum c*C(X, e) over the denominator
-    prod_j (max e_j)!, the largest exponent of each variable: the
-    univariate ``_to_monomial`` run along each variable in turn."""
-    poly = {exp: c for exp, c in int_terms.items() if c}
-    tops = [max(col) for col in zip(*poly)]
-    for axis, top in enumerate(tops):
-        poly = _along(poly, axis, partial(_to_monomial, top=top))
-    return poly, prod(factorial(top) for top in tops)
+def _join_slots(slots: Sequence[Mapping[tuple[int, ...], object]]) -> tuple:
+    """Terms (exponent, coefficient tuple) from one {exponent: coefficient}
+    map per codomain slot; a slot without an exponent reads 0 there."""
+    return tuple((exp, tuple(sl.get(exp, 0) for sl in slots))
+                 for exp in set().union(*slots))
 
 
 def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
@@ -88,33 +78,6 @@ def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
     return out
 
 
-def _binomial_coeffs_multi(poly: _MPoly, den: int,
-                           nvars: int) -> dict[tuple[int, ...], int]:
-    """Binomial-basis coefficients of the rational polynomial poly / den in
-    n variables.
-
-    The univariate ``_to_falling`` run along each variable gives integers
-    A_e with poly = sum_e A_e * prod_j X_j(X_j-1)...(X_j-e_j+1), so the
-    coefficient of C(X_1,e_1)...C(X_n,e_n) is A_e * e_1!...e_n! / den.
-    Each must be an integer (the polynomial is integer valued), or
-    NotIntegerValued is raised for the first that is not, the terms taken
-    by their exponents read from the last variable to the first, largest
-    first.
-    """
-    for axis in range(nvars):
-        poly = _along(poly, axis, _to_falling)
-    out: dict[tuple[int, ...], int] = {}
-    for exp in sorted(poly, key=lambda e: e[::-1], reverse=True):
-        c = poly[exp] * prod(factorial(e) for e in exp)
-        ci, rest = divmod(c, den)
-        if rest:
-            raise NotIntegerValued(
-                f"constant coefficient {Fraction(c, den)} is not an integer"
-            )
-        out[exp] = ci
-    return out
-
-
 @dataclass(frozen=True)
 class RationalPolyMulti:
     """Sparse monomial-basis polynomial with rational tuple coefficients."""
@@ -124,18 +87,9 @@ class RationalPolyMulti:
     terms: tuple = ()
 
     def __post_init__(self):
-        cleaned = []
-        for exp, coeffs in dict(self.terms).items():
-            exp = _exponent(exp)
-            if len(exp) != self.nvars:
-                raise ArityMismatch(f"exponent {exp} has arity != {self.nvars}")
-            coeffs = tuple(Fraction(c) for c in coeffs)
-            if len(coeffs) != self.width:
-                raise ArityMismatch("coefficient tuple width mismatch")
-            if any(coeffs):
-                cleaned.append((exp, coeffs))
-        cleaned.sort(key=lambda t: t[0])
-        object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "terms", _normal_terms(
+            self.terms, self.nvars, self.width, lambda cs: tuple(map(Fraction, cs))
+        ))
 
     def evaluate(self, x: Sequence[int]) -> tuple[Fraction, ...]:
         if len(x) != self.nvars:
@@ -171,19 +125,11 @@ class MultiPolyfract:
         if any(r < 0 for r in codomain):
             raise ValueError("codomain moduli must be >= 0")
         object.__setattr__(self, "codomain", codomain)
-        cleaned = []
-        for exp, coeffs in dict(self.terms).items():
-            exp = _exponent(exp)
-            if len(exp) != self.nvars:
-                raise ArityMismatch(f"exponent {exp} has arity != {self.nvars}")
-            if len(coeffs) != len(codomain):
-                raise ArityMismatch("coefficient tuple width mismatch")
-            coeffs = tuple(canonical(as_integer(c, "coefficient"), r)
-                           for c, r in zip(coeffs, codomain))
-            if any(coeffs):
-                cleaned.append((exp, coeffs))
-        cleaned.sort(key=lambda t: t[0])
-        object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "terms", _normal_terms(
+            self.terms, self.nvars, len(codomain),
+            lambda cs: tuple(canonical(as_integer(c, "coefficient"), r)
+                             for c, r in zip(cs, codomain)),
+        ))
 
     # -- constructors -------------------------------------------------
 
@@ -239,17 +185,8 @@ class MultiPolyfract:
         for i in range(poly.width):
             slot = poly.slot(i)
             nums, den = _numerators(slot.values())
-            slot_coeffs.append(
-                _binomial_coeffs_multi(dict(zip(slot, nums)), den, poly.nvars)
-            )
-        exps = set()
-        for sc in slot_coeffs:
-            exps.update(sc)
-        terms = [
-            (exp, tuple(sc.get(exp, 0) for sc in slot_coeffs))
-            for exp in exps
-        ]
-        return cls(codomain, poly.nvars, tuple(terms))
+            slot_coeffs.append(_binomial_coeffs(dict(zip(slot, nums)), den, poly.nvars))
+        return cls(codomain, poly.nvars, _join_slots(slot_coeffs))
 
     # -- views ---------------------------------------------------------
 
@@ -354,35 +291,21 @@ class MultiPolyfract:
         for i in range(self.width):
             a, da = _expand_to_monomials(self.slot_map(i))
             b, db = _expand_to_monomials(other.slot_map(i))
-            slot_results.append(
-                _binomial_coeffs_multi(_mpoly_mul(a, b), da * db, self.nvars)
-            )
-        exps = set()
-        for sr in slot_results:
-            exps.update(sr)
-        terms = tuple(
-            (exp, tuple(sr.get(exp, 0) for sr in slot_results)) for exp in exps
-        )
-        return MultiPolyfract(self.codomain, self.nvars, terms)
+            slot_results.append(_binomial_coeffs(_mpoly_mul(a, b), da * db, self.nvars))
+        return MultiPolyfract(self.codomain, self.nvars, _join_slots(slot_results))
 
     def to_rational(self, lift: str = "balanced") -> RationalPolyMulti:
         """Monomial-basis representative with rational tuple coefficients."""
-        slot_polys = []
+        slots = []
         for i, r in enumerate(self.codomain):
             int_terms = self.slot_map(i)
             if lift == "balanced":
                 int_terms = {e: balanced_lift(c, r) for e, c in int_terms.items()}
             elif lift != "canonical":
                 raise ValueError(f"unknown lift {lift!r}")
-            slot_polys.append(_expand_to_monomials(int_terms))
-        exps = set()
-        for sp, _ in slot_polys:
-            exps.update(sp)
-        terms = tuple(
-            (exp, tuple(Fraction(sp.get(exp, 0), den) for sp, den in slot_polys))
-            for exp in exps
-        )
-        return RationalPolyMulti(self.nvars, self.width, terms)
+            mono, den = _expand_to_monomials(int_terms)
+            slots.append({exp: Fraction(n, den) for exp, n in mono.items()})
+        return RationalPolyMulti(self.nvars, self.width, _join_slots(slots))
 
     def __repr__(self) -> str:
         return (
@@ -396,13 +319,14 @@ def compose(q: UniPolyfract, p: MultiPolyfract) -> MultiPolyfract:
 
     The composed rational polynomial is integer valued, hence again a
     polyfract; for nonconstant inputs its degree is deg(q) * deg(p).  With
-    q = sum_k a_k X^k / Q and p = P / D, Horner's rule runs on the integer
-    numerators of sum_k a_k P^k D^(deg q - k) over Q * D^(deg q).
+    q = sum_k a_k X^k / (deg q)! and p = P / D, Horner's rule runs on the
+    integer numerators of sum_k a_k P^k D^(deg q - k) over (deg q)! D^(deg q).
     """
     if q.modulus != 0 or p.codomain != (0,):
         raise ModulusMismatch("composition is defined over modulus 0 only")
     p_mono, p_den = _expand_to_monomials(p.slot_map(0))
-    q_nums, q_den = _numerators(q.to_rational(lift="canonical").coeffs)
+    top = max(len(q.coeffs) - 1, 0)
+    q_nums, q_den = _to_monomial(q.coeffs, top), factorial(top)
     zero_exp = (0,) * p.nvars
     acc: _MPoly = {}
     power = 1  # D^(deg q - k) for the coefficient a_k being added
@@ -416,10 +340,8 @@ def compose(q: UniPolyfract, p: MultiPolyfract) -> MultiPolyfract:
                 acc.pop(zero_exp, None)
         power *= p_den
     den = q_den * p_den ** max(len(q_nums) - 1, 0)
-    coeffs = _binomial_coeffs_multi(acc, den, p.nvars)
-    return MultiPolyfract((0,), p.nvars, tuple(
-        (exp, (ci,)) for exp, ci in coeffs.items()
-    ))
+    coeffs = _binomial_coeffs(acc, den, p.nvars)
+    return MultiPolyfract((0,), p.nvars, _join_slots([coeffs]))
 
 
 def grid_vanish_equiv(p: MultiPolyfract, bounds: Sequence[int]) -> tuple[bool, bool]:

@@ -10,15 +10,22 @@ expand into the rational monomial basis, multiply there, re-express in the
 binomial basis, reduce mod r.  Every step runs on integer numerators over
 one shared denominator, and the two basis changes are one kernel pair:
 ``_to_monomial`` (Horner's rule in the falling-factorial basis) and
-``_to_falling`` (repeated synthetic division).  ``Fraction`` appears only
-in the ``RationalPoly`` values handed across the monomial-basis edge.
+``_to_falling`` (repeated synthetic division).  The n-variable drivers
+that run the pair along one variable at a time on sparse polynomials,
+``_expand_to_monomials`` and ``_binomial_coeffs``, live here too; the
+latter serves ``UniPolyfract.from_rational`` with n = 1 and raises
+``NotIntegerValued`` naming the first failing coefficient by ``degree m``
+for one variable and by ``exponent (e_1, ..., e_n)`` otherwise.
+``Fraction`` appears only in the ``RationalPoly`` values handed across the
+monomial-basis edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Iterable, Sequence
+from functools import partial
+from math import factorial, lcm, prod
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
 from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
@@ -95,6 +102,72 @@ def _trim(seq: list) -> list:
     return seq
 
 
+# Internal sparse polynomials with integer coefficients: exponent tuple ->
+# int.  A rational polynomial is such a dict of numerators together with
+# one shared denominator.
+_MPoly = dict
+
+
+def _along(poly: _MPoly, axis: int,
+           kernel: Callable[[list[int]], list[int]]) -> _MPoly:
+    """Apply a dense univariate kernel to a sparse polynomial along one
+    variable: the terms are grouped by their other exponents, each group
+    becomes one dense row indexed by the exponent of ``axis``, and the
+    kernel's output rows are scattered back."""
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for exp, c in poly.items():
+        row = rows.setdefault(exp[:axis] + exp[axis + 1:], [])
+        k = exp[axis]
+        if k >= len(row):
+            row.extend([0] * (k + 1 - len(row)))
+        row[k] = c
+    out: _MPoly = {}
+    for rest, row in rows.items():
+        head, tail = rest[:axis], rest[axis:]
+        for k, v in enumerate(kernel(row)):
+            if v:
+                out[head + (k,) + tail] = v
+    return out
+
+
+def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> tuple[_MPoly, int]:
+    """Monomial numerators of sum c*C(X, e) over the denominator
+    prod_j (max e_j)!, the largest exponent of each variable: the
+    univariate ``_to_monomial`` run along each variable in turn."""
+    poly = {exp: c for exp, c in int_terms.items() if c}
+    tops = [max(col) for col in zip(*poly)]
+    for axis, top in enumerate(tops):
+        poly = _along(poly, axis, partial(_to_monomial, top=top))
+    return poly, prod(factorial(top) for top in tops)
+
+
+def _binomial_coeffs(poly: _MPoly, den: int, nvars: int) -> dict[tuple[int, ...], int]:
+    """Binomial-basis coefficients of the rational polynomial poly / den in
+    n variables.
+
+    The univariate ``_to_falling`` run along each variable gives integers
+    A_e with poly = sum_e A_e * prod_j X_j(X_j-1)...(X_j-e_j+1), so the
+    coefficient of C(X_1,e_1)...C(X_n,e_n) is A_e * e_1!...e_n! / den.
+    Each must be an integer (the polynomial is integer valued), or
+    NotIntegerValued is raised for the first that is not, the terms taken
+    by their exponents read from the last variable to the first, largest
+    first.
+    """
+    for axis in range(nvars):
+        poly = _along(poly, axis, _to_falling)
+    out: dict[tuple[int, ...], int] = {}
+    for exp in sorted(poly, key=lambda e: e[::-1], reverse=True):
+        c = poly[exp] * prod(map(factorial, exp))
+        ci, rest = divmod(c, den)
+        if rest:
+            where = f"degree {exp[0]}" if nvars == 1 else f"exponent {exp}"
+            raise NotIntegerValued(
+                f"binomial coefficient at {where} is {Fraction(c, den)}, not an integer"
+            )
+        out[exp] = ci
+    return out
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     """Dense univariate polynomial over Q in the ordinary monomial basis.
@@ -129,31 +202,6 @@ class RationalPoly:
 
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-
-
-def _extract_binomial_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    """Re-express a rational polynomial in the binomial basis.
-
-    The coefficients c_m are the rationals with sum c_m*C(X, m) equal to
-    the polynomial; checked from the top degree down, the first one that
-    is not an integer raises NotIntegerValued.  The polynomial is taken as
-    integer numerators N over their least common denominator D; with
-    A = _to_falling(N), c_m = A_m * m! / D.
-    """
-    nums, den = _numerators(_trim([Fraction(c) for c in coeffs]))
-    newton = _to_falling(nums)
-    out = [0] * len(newton)
-    fac = factorial(len(newton) - 1) if newton else 1
-    for m in range(len(newton) - 1, -1, -1):
-        c, rest = divmod(newton[m] * fac, den)
-        if rest:
-            raise NotIntegerValued(
-                f"binomial coefficient at degree {m} is "
-                f"{Fraction(newton[m] * fac, den)}, not an integer"
-            )
-        out[m] = c
-        fac //= m or 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -192,7 +240,9 @@ class UniPolyfract:
     def from_rational(cls, poly: RationalPoly, modulus: int) -> "UniPolyfract":
         """Unique polyfract inducing the same map mod r as an integer-valued
         rational polynomial; raises NotIntegerValued otherwise."""
-        return cls(modulus, tuple(_extract_binomial_coeffs(poly.coeffs)))
+        nums, den = _numerators(poly.coeffs)
+        coeffs = _binomial_coeffs({(d,): n for d, n in enumerate(nums) if n}, den, 1)
+        return cls(modulus, tuple([coeffs.get((d,), 0) for d in range(len(nums))]))
 
     @property
     def degree(self) -> int | None:

@@ -169,26 +169,33 @@ def ref_mpoly_mul(a, b):
 def ref_binomial_coeffs_multi(poly, nvars):
     """Binomial-basis coefficients of a sparse rational polynomial,
     stripping leading monofracts in the last variable and recursing."""
-    if nvars == 0:
-        c = poly.get((), Fraction(0))
-        if not c:
-            return {}
-        if c.denominator != 1:
-            raise RefNotIntegerValued(f"constant coefficient {c} is not an integer")
-        return {(): int(c)}
-    work = {e: c for e, c in poly.items() if c}
-    out = {}
-    while work:
-        m = max(e[-1] for e in work)
-        head = {e[:-1]: c * math.factorial(m) for e, c in work.items() if e[-1] == m}
-        bp = ref_binom_poly(m)
-        for e, c in head.items():
-            for k, w in enumerate(bp):
-                if w:
-                    _sparse_add(work, e + (k,), -c * w)
-        for e, ci in ref_binomial_coeffs_multi(head, nvars - 1).items():
-            out[e + (m,)] = ci
-    return out
+
+    def strip(poly, k, suffix):
+        if k == 0:
+            c = poly.get((), Fraction(0))
+            if not c:
+                return {}
+            if c.denominator != 1:
+                where = f"degree {suffix[0]}" if nvars == 1 else f"exponent {suffix}"
+                raise RefNotIntegerValued(
+                    f"binomial coefficient at {where} is {c}, not an integer"
+                )
+            return {(): int(c)}
+        work = {e: c for e, c in poly.items() if c}
+        out = {}
+        while work:
+            m = max(e[-1] for e in work)
+            head = {e[:-1]: c * math.factorial(m) for e, c in work.items() if e[-1] == m}
+            bp = ref_binom_poly(m)
+            for e, c in head.items():
+                for j, w in enumerate(bp):
+                    if w:
+                        _sparse_add(work, e + (j,), -c * w)
+            for e, ci in strip(head, k - 1, (m,) + suffix).items():
+                out[e + (m,)] = ci
+        return out
+
+    return strip(poly, nvars, ())
 
 
 def ref_slot(terms, i):

@@ -146,6 +146,16 @@ class TestRepresent:
         with pytest.raises(NotPolyfractal):
             represent(f)
 
+    def test_not_polyfractal_carries_the_counterexample(self):
+        f = FiniteFn((4, 9), (6,), tuple(((x * x + 3 * y) % 6,)
+                                          for x in range(4) for y in range(9)))
+        ce = is_polyfractal(f).counterexample
+        assert ce is not None
+        with pytest.raises(NotPolyfractal) as exc:
+            represent(f)
+        assert exc.value.counterexample == ce
+        assert counterexample_is_valid(f, exc.value.counterexample)
+
     def test_block_purity(self):
         # monomials never mix variables of different primes, and every
         # nonzero coefficient sits in the codomain slots of its block

@@ -270,6 +270,16 @@ class TestCommands:
         assert code == 3
         assert "error" in err
 
+    def test_eval_names_the_failing_binomial_coefficient(self, run, tmp_path):
+        # X^2/3 = (2*C(X,2) + C(X,1))/3: the coefficient of C(X,2) fails first
+        path = tmp_path / "third.json"
+        path.write_text('{"basis":"monomial","vars":1,"codomain":[5],'
+                        '"terms":[[[2],["1/3"]]]}\n')
+        code, out, err = run("eval", str(path), "--at", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: binomial coefficient at degree 2 is 2/3, not an integer\n"
+
     def test_eval_with_projection(self, run, problem_file, tmp_path):
         code, out, _ = run("represent", problem_file(INDICATOR_PROBLEM), "--merge")
         poly_path = tmp_path / "poly.json"

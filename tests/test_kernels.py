@@ -179,7 +179,15 @@ class TestMultivariate:
                                         ((0, 1), (Fraction(1, 3),))))
         with pytest.raises(NotIntegerValued) as exc:
             MultiPolyfract.from_rational(poly, (5,))
-        assert str(exc.value) == "constant coefficient 1/3 is not an integer"
+        assert str(exc.value) == "binomial coefficient at exponent (0, 1) is 1/3, not an integer"
+
+    @given(rational_polys(), moduli)
+    @settings(max_examples=150, deadline=None)
+    def test_one_variable_matches_univariate(self, poly, r):
+        # the same driver serves both: equal coefficients or equal rejections
+        multi = RationalPolyMulti(1, 1, tuple(((d,), (c,)) for d, c in enumerate(poly.coeffs)))
+        got = outcome(lambda: MultiPolyfract.from_rational(multi, (r,)).component_uni(0))
+        assert got == outcome(UniPolyfract.from_rational, poly, r)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
