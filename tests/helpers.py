@@ -168,7 +168,9 @@ def ref_mpoly_mul(a, b):
 
 def ref_binomial_coeffs_multi(poly, nvars):
     """Binomial-basis coefficients of a sparse rational polynomial,
-    stripping leading monofracts in the last variable and recursing."""
+    stripping leading monofracts in the last variable and recursing.  A
+    coefficient that is not an integer is named by its degree for one
+    variable and by its full exponent otherwise."""
 
     def strip(poly, k, suffix):
         if k == 0:
