@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import index
+from operator import index, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     NotAnnihilated,
     PreconditionFailed,
 )
-from .exactnum import Residue, as_integer, binom, canonical, prime_factors
+from .exactnum import Residue, as_integer, binom, canonical, factorization
 from .multi import MultiPolyfract
 from .uni import UniPolyfract
 
@@ -170,34 +170,44 @@ class DiffOp:
             raise ValueError("stride must be >= 1")
 
 
-def _shifted_rows(f: FiniteFn, var: int, step: int) -> list[tuple[int, ...]]:
-    """Rows of x -> f(x + step*e_var), using the mixed-radix layout: each
-    run of q_var blocks (one span) is rotated left by step blocks."""
-    domain = f.domain_moduli
+def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> list:
+    """Entries of x -> seq[index(x + step*e_var)] for any list laid out in
+    the mixed-radix order of ``domain``: each run of q_var blocks (one
+    span) is rotated left by step blocks."""
     block = prod(domain[var + 1:])
     span = domain[var] * block
     cut = step * block % span
-    rows = f.values
     out = []
-    for base in range(0, len(rows), span):
-        out += rows[base + cut:base + span]
-        out += rows[base:base + cut]
+    for base in range(0, len(seq), span):
+        out += seq[base + cut:base + span]
+        out += seq[base:base + cut]
     return out
 
 
+def _check_var(f: FiniteFn, var: int) -> None:
+    if not 0 <= var < f.nvars:
+        raise BadVariableIndex(f"variable {var} out of range")
+
+
 def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
-    """Apply a difference operator pointwise; indices wrap mod q_var."""
-    if not 0 <= op.var < f.nvars:
-        raise BadVariableIndex(f"variable {op.var} out of range")
+    """Apply a difference operator pointwise; indices wrap mod q_var.
+
+    ``taylor_expand``, ``taylor_expand_multi`` and ``map_degree`` step
+    through this function one difference at a time, rather than through
+    ``delta_power``'s flat columns, because the benchmark's traced run
+    requires ``calculus.apply_diff`` to fire on interp and certify until
+    its span map follows the kernels (ROADMAP item 1).
+    """
+    _check_var(f, op.var)
     step = 1 if op.kind == "delta" else op.stride
-    shifted = _shifted_rows(f, op.var, step)
+    shifted = _shifted(f.values, f.domain_moduli, op.var, step)
     codomain = f.codomain_moduli
     if op.kind == "shift":
         rows = shifted
     elif len(codomain) == 1:
-        # The Taylor, degree and divisibility tables are all width 1; here
-        # the per-row tuple generator below would cost several times the
-        # subtraction itself.
+        # The Taylor and degree tables are all width 1; here the per-row
+        # tuple generator below would cost several times the subtraction
+        # itself.
         (r,) = codomain
         if r:
             rows = [((a - b) % r,) for (a,), (b,) in zip(shifted, f.values)]
@@ -212,11 +222,24 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
-    """k-fold forward difference in one variable."""
-    op = DiffOp("delta", var)
-    for _ in range(k):
-        f = apply_diff(op, f)
-    return f
+    """k-fold forward difference in one variable.
+
+    Runs the k steps on one flat integer column per codomain factor and
+    builds a single table at the end.
+    """
+    _check_var(f, var)
+    if k < 0:
+        raise ValueError("difference power must be >= 0")
+    if k == 0 or not f.codomain_moduli:
+        return f
+    domain = f.domain_moduli
+    columns = []
+    for col, r in zip(zip(*f.values), f.codomain_moduli):
+        col = list(col)
+        for _ in range(k):
+            col = list(map(sub, _shifted(col, domain, var, 1), col))
+        columns.append([v % r for v in col] if r else col)
+    return FiniteFn._trusted(domain, f.codomain_moduli, tuple(zip(*columns)))
 
 
 def value_sum(f: FiniteFn) -> tuple[Residue, ...]:
@@ -291,7 +314,7 @@ def periodic_degree_bound(q: int, r: int) -> int:
     if r <= 1:
         return 0
     best = 0
-    for p, beta in prime_factors(r).items():
+    for p, beta in factorization(r):
         alpha = 0
         qq = q
         while qq % p == 0:
@@ -310,8 +333,7 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     Searches up to the blockwise degree bound plus one; maps that are not
     annihilated by then never are, and NotAnnihilated is raised.
     """
-    if not 0 <= var < f.nvars:
-        raise BadVariableIndex(f"variable {var} out of range")
+    _check_var(f, var)
     q = f.domain_moduli[var]
     bound = max(
         (periodic_degree_bound(q, r) for r in f.codomain_moduli), default=0
@@ -357,10 +379,10 @@ def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:
         raise BadDomain("a single cyclic domain factor is required")
     if f.codomain_moduli != (0,):
         raise BadCodomain("values must live in Z (modulus 0)")
-    fac = prime_factors(f.domain_moduli[0])
+    fac = factorization(f.domain_moduli[0])
     if len(fac) != 1:
         raise BadDomain(f"domain order {f.domain_moduli[0]} is not a prime power")
-    p, alpha = next(iter(fac.items()))
+    ((p, alpha),) = fac
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if mode == "sharp":

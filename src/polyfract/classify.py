@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import mod
 from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
@@ -22,7 +23,7 @@ from .exactnum import Residue
 from .groups import Splitting, merge_variables, split_group
 from .lagrange import interpolate_prime_power
 from .multi import MultiPolyfract
-from .uni import RationalPoly, UniPolyfract
+from .uni import RationalPoly, UniPolyfract, table_values
 
 __all__ = [
     "ClassificationResult",
@@ -106,8 +107,8 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
         out_parts = cod.parts[i]
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for x, y in zip(f.points(), f.values):
-            key = tuple(a % m for a, m in zip(x, in_parts))
-            out = tuple(b % m for b, m in zip(y, out_parts))
+            key = tuple(map(mod, x, in_parts))
+            out = tuple(map(mod, y, out_parts))
             expected = seen.setdefault(key, out)
             if expected != out:
                 return ClassificationResult(
@@ -203,15 +204,17 @@ def _representable_tables(q: int, r: int, bound: int) -> frozenset[tuple[int, ..
 
     Every q-periodic polyfract has degree at most the blockwise bound, so
     enumerating coefficient vectors up to that degree and keeping the
-    periodic ones is exhaustive.
+    periodic ones is exhaustive.  Each vector's values at 0..q+bound come
+    straight from ``table_values``; the polyfract is periodic when the
+    last bound + 1 of them repeat the first, since P(x + q) - P(x) has
+    degree at most bound.
     """
     found = set()
+    span = q + bound + 1
     for coeffs in product(range(r), repeat=bound + 1):
-        p = UniPolyfract(r, coeffs)
-        vals = p.values(0, q + bound + 1)
-        if any(vals[x + q] != vals[x] for x in range(bound + 1)):
-            continue
-        found.add(tuple(vals[:q]))
+        vals = table_values(coeffs, r, 0, span)
+        if vals[q:] == vals[:bound + 1]:
+            found.add(tuple(vals[:q]))
     return frozenset(found)
 
 

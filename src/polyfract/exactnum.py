@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
@@ -23,6 +24,7 @@ __all__ = [
     "prime_part",
     "canonical",
     "balanced_lift",
+    "factorization",
     "xgcd",
 ]
 
@@ -152,21 +154,34 @@ def padic_valuation(n: int, p: int) -> int:
     return e
 
 
-def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as an ordered {prime: exponent} map."""
+@lru_cache(maxsize=256, typed=True)
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, primes
+    ascending, by trial division.  Cached, since the sweeps factor a few
+    moduli many times: a tuple, so no caller can change a shared result,
+    and ``typed``, so 2.0 cannot hit the entry of 2."""
     n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    factors: dict[int, int] = {}
+    factors = []
     d = 2
     while d * d <= n:
+        e = 0
         while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
+            e += 1
             n //= d
+        if e:
+            factors.append((d, e))
         d += 1
     if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as an ordered {prime: exponent} map,
+    a fresh dict on every call."""
+    return dict(factorization(n))
 
 
 def prime_part(n: int, p: int) -> int:

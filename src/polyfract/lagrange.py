@@ -15,9 +15,9 @@ from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
-from .exactnum import Residue, binom, is_prime, prime_factors
+from .exactnum import Residue, binom, factorization, is_prime
 from .multi import MultiPolyfract
-from .uni import UniPolyfract
+from .uni import UniPolyfract, table_values
 
 __all__ = [
     "cofract",
@@ -107,19 +107,19 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     r = f.codomain_moduli[0]
     domain_primes = set()
     for q in f.domain_moduli:
-        fac = prime_factors(q)
+        fac = factorization(q)
         if len(fac) > 1:
             raise MixedPrimes(f"domain modulus {q} is not a prime power")
-        domain_primes.update(fac)
+        domain_primes.update(p for p, _ in fac)
     if len(domain_primes) > 1:
         raise MixedPrimes(f"domain involves primes {sorted(domain_primes)}")
     if r == 1:
         # trivial codomain: everything interpolates to zero
         return MultiPolyfract.zero((1,), f.nvars)
-    rfac = prime_factors(r) if r else {}
+    rfac = factorization(r) if r else ()
     if len(rfac) != 1:
         raise BadCodomain(f"codomain modulus {r} is not a prime power")
-    p = next(iter(rfac))
+    ((p, _),) = rfac
     if domain_primes and domain_primes != {p}:
         raise BadCodomain(
             f"codomain prime {p} differs from domain prime {domain_primes.pop()}"
@@ -159,8 +159,5 @@ def extend_information_coeffs(info: Sequence[int], p: int, alpha: int,
     info = [v % r for v in info]
     if len(info) != q:
         raise LengthMismatch(f"expected {q} information coefficients, got {len(info)}")
-    values = [
-        sum(c * binom(x, delta) for delta, c in enumerate(info)) for x in range(q)
-    ]
-    table = FiniteFn.univariate(q, r, values)
+    table = FiniteFn.univariate(q, r, table_values(info, r, 0, q))
     return interpolate_prime_power(table).component_uni(0)

@@ -18,12 +18,17 @@ latter serves ``UniPolyfract.from_rational`` with n = 1 and raises
 for one variable and by ``exponent (e_1, ..., e_n)`` otherwise.
 ``Fraction`` appears only in the ``RationalPoly`` values handed across the
 monomial-basis edge.
+
+Whole value tables come from ``table_values``, the inverse of the
+forward-difference transform: iterated prefix sums of the differences
+at the first point, with no binomial per point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import factorial, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +40,7 @@ __all__ = [
     "UniPolyfract",
     "binom_poly",
     "coeffs_from_values",
+    "table_values",
 ]
 
 
@@ -71,6 +77,39 @@ def _to_falling(nums: Sequence[int]) -> list[int]:
             work[j] += k * work[j + 1]
         out.append(work.pop(0))
     return out
+
+
+def table_values(coeffs: Sequence[int], modulus: int, start: int,
+                 stop: int) -> list[int]:
+    """Values sum_d coeffs[d]*C(x, d) for start <= x < stop, reduced mod
+    modulus (left as integers for modulus 0).
+
+    Row k holds Delta^k P(x) for x = start..stop-1: it starts at
+    Delta^k P(start) and goes on by the prefix sums of row k+1, so m - 1
+    prefix sums from the constant top row down cost O(n*m) additions.
+    Delta^k P(0) = P_k; elsewhere Delta^k P(start) = sum_j P_j*C(start, j-k).
+    Only the last row is reduced, which is faster on the sweeps' small
+    tables; the rows grow by about log2(n) bits each.
+    """
+    n = stop - start
+    if n <= 0:
+        return []
+    if not coeffs:
+        return [0] * n
+    diffs = coeffs if start == 0 else _differences_at(coeffs, start)
+    row = [diffs[-1]] * n
+    for d in reversed(diffs[:-1]):
+        row = list(accumulate(row[:-1], initial=d))
+    return [v % modulus for v in row] if modulus else row
+
+
+def _differences_at(coeffs: Sequence[int], start: int) -> list[int]:
+    """Delta^k P(start) for k = 0..m-1: sum_j coeffs[j]*C(start, j - k)."""
+    row = [1]  # C(start, i) for i = 0..m-1
+    for i in range(1, len(coeffs)):
+        row.append(row[-1] * (start - i + 1) // i)
+    return [sum(c * b for c, b in zip(coeffs[k:], row))
+            for k in range(len(coeffs))]
 
 
 def binom_poly(delta: int) -> tuple[Fraction, ...]:
@@ -263,7 +302,9 @@ class UniPolyfract:
         return Residue(total, self.modulus)
 
     def values(self, start: int, stop: int) -> list[int]:
-        return [self.evaluate(x).value for x in range(start, stop)]
+        """Canonical values at start..stop-1, the whole table at once
+        (``table_values``); ``evaluate`` is the per-point route."""
+        return table_values(self.coeffs, self.modulus, start, stop)
 
     def _check(self, other: "UniPolyfract") -> None:
         if self.modulus != other.modulus:

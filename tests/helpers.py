@@ -5,7 +5,9 @@ from alternating difference sums over plain ``math.comb``, evaluation from
 direct falling-factorial products.  The kernel references at the end
 keep the library's earlier algorithms; their co-monofract weights come
 from the definition over ``math.comb``, and only ``ref_apply_diff``
-reuses the library's checked ``FiniteFn`` constructor.  ``ref_block_scan``
+reuses the library's checked ``FiniteFn`` constructor.
+``ref_representable_tables`` is the brute-force oracle's enumeration as it
+ran before whole-table evaluation, one point at a time.  ``ref_block_scan``
 is the block test as it ran before it keyed groups by their block point,
 with the prime parts worked out by trial division; ``block_built_rows``
 builds polyfractal tables from per-prime block maps on the same parts.
@@ -305,6 +307,18 @@ def ref_apply_diff(op, f):
         rows = [tuple(a - b for a, b in zip(srow, row))
                 for srow, row in zip(shifted, f.values)]
     return dataclasses.replace(f, values=tuple(rows))
+
+
+def ref_representable_tables(q, r, bound):
+    """Value tables of every q-periodic polyfract over Z_r of degree at
+    most bound: each coefficient vector evaluated point by point, kept
+    when its values at 0..bound repeat q places later."""
+    found = set()
+    for coeffs in product(range(r), repeat=bound + 1):
+        vals = [eval_binomial_coeffs(coeffs, x) % r for x in range(q + bound + 1)]
+        if all(vals[x + q] == vals[x] for x in range(bound + 1)):
+            found.add(tuple(vals[:q]))
+    return frozenset(found)
 
 
 # -- reference block scan and block-built tables ---------------------------

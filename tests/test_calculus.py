@@ -11,6 +11,7 @@ from polyfract import (
     Residue,
     UniPolyfract,
     apply_diff,
+    delta_power,
     divisibility_check,
     hrycaj_periodicity,
     map_degree,
@@ -134,6 +135,34 @@ class TestApplyDiff:
             coeff = math.comb(q, j)
             acc = [a + coeff * row[0] for a, row in zip(acc, g.values)]
         assert [row[0] for row in stride.values] == [a % r for a in acc]
+
+
+class TestDeltaPower:
+    def test_power_of_binomial_window(self):
+        f = FiniteFn.univariate(5, 0, [math.comb(x, 3) for x in range(5)])
+        assert [v for (v,) in delta_power(f, 2).values] == [0, 1, 2, -7, 4]
+
+    def test_power_zero_is_identity(self):
+        f = FiniteFn.univariate(3, 4, [1, 3, 2])
+        assert delta_power(f, 0) == f
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("var", [1, 2, -1])
+    def test_bad_variable_whatever_the_power(self, var, k):
+        f = FiniteFn.univariate(4, 3, [0, 1, 2, 0])
+        with pytest.raises(BadVariableIndex):
+            delta_power(f, k, var)
+
+    def test_bad_variable_before_bad_power(self):
+        f = FiniteFn.univariate(4, 3, [0, 1, 2, 0])
+        with pytest.raises(BadVariableIndex):
+            delta_power(f, -3, 5)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_power(self, k):
+        f = FiniteFn.univariate(4, 3, [0, 1, 2, 0])
+        with pytest.raises(ValueError, match="difference power must be >= 0"):
+            delta_power(f, k)
 
 
 class TestValueSum:

@@ -343,34 +343,48 @@ class TestBruteForce:
                 assert is_polyfractal(f).polyfractal == brute_force_polyfractal(f)
 
 
+# Moduli whose prime parts mix 2, 3 and 5.
+MIXED_MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 30)
+
+# Most tables one random counting example enumerates.
+COUNT_TABLES = 4096
+
+
+def _enumerated_hits(domain, codomain):
+    """Number of tables on the groups that the block test accepts, over
+    every table."""
+    elements = list(product(*(range(r) for r in codomain)))
+    hits = 0
+    for rows in product(elements, repeat=prod(domain)):
+        hits += is_polyfractal(FiniteFn(domain, codomain, rows)).polyfractal
+    return hits
+
+
 class TestCountingAgreement:
     @pytest.mark.parametrize("domain,codomain", [
         ((2, 2), (4,)), ((2, 3), (6,)), ((4,), (2, 2)), ((2, 2, 2), (2,)),
         ((3,), (3, 2)), ((8,), (4,)), ((6,), (6,)),
     ])
     def test_enumerated_count_matches_formula(self, domain, codomain):
-        size = 1
-        for q in domain:
-            size *= q
-        span = 1
-        for r in codomain:
-            span *= r
-        hits = 0
-        for flat in product(range(span), repeat=size):
-            rows = []
-            for v in flat:
-                row = []
-                for r in reversed(codomain):
-                    row.append(v % r)
-                    v //= r
-                rows.append(tuple(reversed(row)))
-            f = FiniteFn(domain, codomain, tuple(rows))
-            hits += is_polyfractal(f).polyfractal
-        assert hits == count_polyfractal(domain, codomain)
+        assert _enumerated_hits(domain, codomain) == count_polyfractal(domain, codomain)
 
-
-# Moduli whose prime parts mix 2, 3 and 5.
-MIXED_MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 30)
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_mixed_groups(self, data):
+        codomain = tuple(data.draw(st.lists(st.sampled_from(MIXED_MODULI),
+                                            min_size=1, max_size=2)))
+        span = prod(codomain)
+        # the domain order n is bounded by |B|^n <= COUNT_TABLES
+        room = COUNT_TABLES if span == 1 else max(
+            n for n in range(1, COUNT_TABLES) if span**n <= COUNT_TABLES)
+        domain = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            q = data.draw(st.sampled_from([m for m in MIXED_MODULI if m <= room]))
+            domain.append(q)
+            room //= q
+        domain = tuple(domain)
+        event(f"{span ** prod(domain)} tables")
+        assert _enumerated_hits(domain, codomain) == count_polyfractal(domain, codomain)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from polyfract import (
     prime_part,
 )
 from polyfract.errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
-from polyfract.exactnum import xgcd
+from polyfract.exactnum import factorization, xgcd
 from polyfract.lagrange import cofract
 
 
@@ -154,6 +154,39 @@ class TestHelpers:
     def test_prime_factors_rejects_non_integers(self):
         with pytest.raises(ValueError, match="not an integer"):
             prime_factors(2.5)
+
+    def test_factorization_pairs(self):
+        assert factorization(600) == ((2, 3), (3, 1), (5, 2))
+        assert factorization(97) == ((97, 1),)
+        assert factorization(1) == ()
+
+    def test_cached_factorization_is_not_shared(self):
+        first = prime_factors(360)
+        first[2] = 99
+        first[7] = 1
+        assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+        assert prime_factors(360) is not prime_factors(360)
+
+    @pytest.mark.parametrize("bad", [12.0, 2.0, 2.5])
+    def test_cached_int_does_not_admit_a_float(self, bad):
+        factorization(12)
+        factorization(2)
+        with pytest.raises(ValueError, match="not an integer"):
+            factorization(bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            prime_factors(bad)
+
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_factorization_rejects_non_positive(self, bad):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            prime_factors(bad)
+
+    @given(st.integers(1, 5000))
+    def test_factorization_multiplies_back(self, n):
+        pairs = factorization(n)
+        assert math.prod(p**e for p, e in pairs) == n
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+        assert all(is_prime(p) and e >= 1 for p, e in pairs)
 
     def test_prime_part(self):
         assert prime_part(600, 2) == 8

@@ -1,5 +1,5 @@
-"""Binomials, the interpolation contraction and the difference row kernel
-against their references.
+"""Binomials, the interpolation contraction, the difference row kernel and
+whole-table evaluation against their references.
 
 ``exactnum.binom`` must match the falling-factorial formula, ``cofract``
 its definition over ``math.comb`` (``helpers.ref_cofract``),
@@ -9,7 +9,10 @@ difference rebuilt through ``FiniteFn``'s constructor
 (``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns, and
 every polyfract ``interpolate_prime_power`` returns, must be one the
 checked constructor would build from the same data; the constructor's
-row reduction must match the per-cell ``canonical``.
+row reduction must match the per-cell ``canonical``.  ``delta_power``'s
+flat columns must match iterated ``ref_apply_diff``, ``UniPolyfract.values``
+(prefix sums) the per-point ``evaluate``, and the brute-force oracle's
+enumeration the per-point ``helpers.ref_representable_tables``.
 """
 from math import prod
 
@@ -20,20 +23,25 @@ from polyfract import (
     DiffOp,
     FiniteFn,
     MultiPolyfract,
+    UniPolyfract,
     apply_diff,
     binom,
     cofract,
+    delta_power,
     extend_information_coeffs,
     interpolate_prime_power,
 )
 from polyfract.calculus import periodic_degree_bound
+from polyfract.classify import _representable_tables
 from polyfract.exactnum import canonical
 
 from helpers import (
     binom_any,
+    eval_binomial_coeffs,
     ref_apply_diff,
     ref_cofract,
     ref_interpolate_prime_power,
+    ref_representable_tables,
 )
 
 
@@ -158,3 +166,53 @@ class TestApplyDiff:
                 h = apply_diff(op, g)
                 assert h == ref_apply_diff(op, ref_apply_diff(op, f))
                 assert FiniteFn(h.domain_moduli, h.codomain_moduli, h.values) == h
+
+
+class TestDeltaPower:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_tables(), st.data())
+    def test_matches_iterated_reference(self, f, data):
+        var = data.draw(st.integers(0, f.nvars - 1))
+        k = data.draw(st.integers(0, 6))
+        expected = f
+        for _ in range(k):
+            expected = ref_apply_diff(DiffOp("delta", var), expected)
+        g = delta_power(f, k, var)
+        assert g == expected
+        assert FiniteFn(g.domain_moduli, g.codomain_moduli, g.values) == g
+
+
+# Composite moduli, prime powers, Z itself and the trivial group.
+EVAL_MODULI = (0, 1, 2, 4, 5, 6, 9, 12, 16, 27, 30)
+
+
+class TestTableValues:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EVAL_MODULI),
+           st.lists(st.integers(-100, 100), max_size=12),
+           st.integers(-30, 30), st.integers(-3, 40))
+    def test_matches_per_point_evaluate(self, r, coeffs, start, length):
+        p = UniPolyfract(r, tuple(coeffs))
+        stop = start + length
+        got = p.values(start, stop)
+        assert got == [p.evaluate(x).value for x in range(start, stop)]
+        assert got == [canonical(eval_binomial_coeffs(p.coeffs, x), r)
+                       for x in range(start, stop)]
+
+    def test_empty_ranges(self):
+        p = UniPolyfract(7, (3, 1, 4))
+        assert p.values(5, 5) == []
+        assert p.values(5, 2) == []
+        assert UniPolyfract.zero(7).values(-2, 1) == [0, 0, 0]
+
+
+class TestOracleEnumeration:
+    @pytest.mark.parametrize("q", range(1, 6))
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_matches_per_point_enumeration(self, q, r):
+        default = periodic_degree_bound(q, r)
+        # a larger and a smaller override where the search stays small
+        for bound in {default, default + 1, max(default - 1, 0)}:
+            if r ** (bound + 1) <= 4096:
+                assert _representable_tables(q, r, bound) == \
+                    ref_representable_tables(q, r, bound)
