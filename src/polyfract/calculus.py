@@ -1,19 +1,22 @@
 """Discrete difference calculus on dense tables of group-valued functions.
 
 A ``FiniteFn`` is a total function on a product of cyclic groups, stored
-as a dense table in mixed-radix order (first coordinate most significant).
+as one flat integer column per codomain factor, each in mixed-radix order
+of the domain (first coordinate most significant).
 Difference operators wrap around the cyclic domain, so ``delta`` of a
 q-periodic function is again q-periodic by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from itertools import chain, product
 from math import prod
 from operator import index, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
+    ArityMismatch,
     BadCodomain,
     BadDomain,
     BadVariableIndex,
@@ -43,16 +46,19 @@ __all__ = [
 class FiniteFn:
     """Dense value table of a map between products of cyclic groups.
 
-    ``values[index(x)]`` is the codomain tuple at x, where
+    ``columns[k][index(x)]`` is the k-th codomain coordinate at x, where
     index(x_1, ..., x_n) = ((x_1*q_2 + x_2)*q_3 + ...); codomain modulus 0
-    means plain integer values.
+    means plain integer values.  ``FiniteFn(domain, codomain, rows)`` takes
+    one row per point, ``FiniteFn(domain, codomain, columns=...)`` one
+    sequence per codomain factor; ``values`` is the row view.
     """
 
     domain_moduli: tuple[int, ...]
     codomain_moduli: tuple[int, ...]
-    values: tuple = ()
+    rows: InitVar[Sequence[Sequence[int]] | None] = None
+    columns: tuple[tuple[int, ...], ...] | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, rows):
         domain = tuple(as_integer(q, "domain modulus", BadDomain)
                        for q in self.domain_moduli)
         codomain = tuple(as_integer(r, "codomain modulus", BadCodomain)
@@ -64,53 +70,59 @@ class FiniteFn:
         object.__setattr__(self, "domain_moduli", domain)
         object.__setattr__(self, "codomain_moduli", codomain)
         size = prod(domain)
-        rows = tuple(self.values)
-        if len(rows) != size:
-            raise ValueError(f"expected {size} table rows, got {len(rows)}")
-        if any(len(row) != len(codomain) for row in rows):
+        if self.columns is None:
+            rows = tuple(() if rows is None else rows)
+            lengths, widths = (len(rows),), set(map(len, rows))
+            columns = tuple(zip(*rows))
+        elif rows is not None:
+            raise TypeError("give the table as rows or as columns, not both")
+        else:
+            columns = tuple(map(tuple, self.columns))
+            lengths, widths = tuple(map(len, columns)), {len(columns)}
+        for n in lengths:
+            if n != size:
+                raise ValueError(f"expected {size} table rows, got {n}")
+        if widths - {len(codomain)}:
             raise ValueError("row width differs from codomain width")
         try:
-            if len(codomain) == 1 and codomain[0]:
-                # Most tables are width 1; here the per-row generator below
-                # would cost several times the reduction.
-                r = codomain[0]
-                rows = tuple([(index(v) % r,) for (v,) in rows])
-            else:
-                rows = tuple(
-                    tuple(index(v) % r if r else index(v) for v, r in zip(row, codomain))
-                    for row in rows
-                )
+            columns = tuple([
+                tuple([v % r for v in map(index, col)]) if r else tuple(map(index, col))
+                for col, r in zip(columns, codomain)
+            ])
         except TypeError:
-            for row in rows:
-                for v in row:
-                    as_integer(v, "table value")
+            for v in chain.from_iterable(columns):
+                as_integer(v, "table value")
             raise
-        object.__setattr__(self, "values", rows)
+        object.__setattr__(self, "columns", columns)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def _trusted(cls, domain: tuple[int, ...], codomain: tuple[int, ...],
-                 rows: tuple) -> "FiniteFn":
+                 columns: tuple) -> "FiniteFn":
         """Build without ``__post_init__``.  The caller guarantees checked
-        moduli tuples and a tuple of canonical row tuples of the right size
-        and width."""
+        moduli tuples and one tuple of canonical ints per codomain factor,
+        each of the table's size.  The fields go straight into the instance
+        dict, which the frozen ``__setattr__`` only guards."""
         f = object.__new__(cls)
-        object.__setattr__(f, "domain_moduli", domain)
-        object.__setattr__(f, "codomain_moduli", codomain)
-        object.__setattr__(f, "values", rows)
+        f.__dict__.update(domain_moduli=domain, codomain_moduli=codomain,
+                          columns=columns)
         return f
 
     @classmethod
     def univariate(cls, q: int, r: int, values: Sequence[int]) -> "FiniteFn":
-        return cls((q,), (r,), tuple((v,) for v in values))
+        return cls((q,), (r,), columns=(values,))
 
     @classmethod
     def from_callable(cls, domain: Sequence[int], codomain: Sequence[int],
                       fn: Callable[[tuple[int, ...]], Sequence[int]]) -> "FiniteFn":
-        domain = tuple(domain)
         rows = [tuple(fn(x)) for x in product(*(range(q) for q in domain))]
-        return cls(domain, tuple(codomain), tuple(rows))
+        return cls(tuple(domain), tuple(codomain), rows)
+
+    @cached_property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """Row view: the codomain tuple at each point, in index order."""
+        return tuple(zip(*self.columns)) or ((),) * self.size
 
     # -- indexing ---------------------------------------------------------
 
@@ -123,6 +135,8 @@ class FiniteFn:
         return prod(self.domain_moduli)
 
     def index(self, x: Sequence[int]) -> int:
+        if len(x) != len(self.domain_moduli):
+            raise ArityMismatch(f"point {tuple(x)} needs {self.nvars} coordinates")
         idx = 0
         for xi, q in zip(x, self.domain_moduli):
             idx = idx * q + (xi % q)
@@ -143,12 +157,10 @@ class FiniteFn:
         return self.values[self.index(x)]
 
     def residues(self, x: Sequence[int]) -> tuple[Residue, ...]:
-        return tuple(
-            Residue(v, r) for v, r in zip(self.value(x), self.codomain_moduli)
-        )
+        return tuple(map(Residue, self.value(x), self.codomain_moduli))
 
     def is_zero(self) -> bool:
-        return all(not any(row) for row in self.values)
+        return not any(map(any, self.columns))
 
 
 @dataclass(frozen=True)
@@ -166,13 +178,15 @@ class DiffOp:
     def __post_init__(self):
         if self.kind not in ("shift", "delta", "stride"):
             raise ValueError(f"unknown difference kind {self.kind!r}")
+        object.__setattr__(self, "var", as_integer(self.var, "variable", BadVariableIndex))
+        object.__setattr__(self, "stride", as_integer(self.stride, "stride"))
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
 
 def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> list:
-    """Entries of x -> seq[index(x + step*e_var)] for any list laid out in
-    the mixed-radix order of ``domain``: each run of q_var blocks (one
+    """Entries of x -> seq[index(x + step*e_var)] for any column laid out
+    in the mixed-radix order of ``domain``: each run of q_var blocks (one
     span) is rotated left by step blocks."""
     block = prod(domain[var + 1:])
     span = domain[var] * block
@@ -184,71 +198,62 @@ def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> lis
     return out
 
 
-def _check_var(f: FiniteFn, var: int) -> None:
+def _check_var(f: FiniteFn, var: int) -> int:
+    var = as_integer(var, "variable", BadVariableIndex)
     if not 0 <= var < f.nvars:
         raise BadVariableIndex(f"variable {var} out of range")
+    return var
+
+
+def _difference(col: tuple, r: int, domain: tuple[int, ...], var: int,
+                step: int) -> tuple:
+    """One column of f(x + step*e_var) - f(x), reduced mod r (kept in Z
+    for r = 0)."""
+    diff = map(sub, _shifted(col, domain, var, step), col)
+    return tuple([v % r for v in diff]) if r else tuple(diff)
 
 
 def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
-    """Apply a difference operator pointwise; indices wrap mod q_var.
+    """Apply a difference operator to each codomain column; indices wrap
+    mod q_var.  A shift only rotates the column; the differences run
+    ``_difference``, the step ``delta_power`` repeats.
 
     ``taylor_expand``, ``taylor_expand_multi`` and ``map_degree`` step
-    through this function one difference at a time, rather than through
-    ``delta_power``'s flat columns, because the benchmark's traced run
-    requires ``calculus.apply_diff`` to fire on interp and certify until
-    its span map follows the kernels (ROADMAP item 1).
+    through this function rather than ``delta_power`` because the
+    benchmark's traced run requires ``calculus.apply_diff`` to fire on
+    interp and certify until its span map follows the kernels (ROADMAP
+    item 1).
     """
     _check_var(f, op.var)
-    step = 1 if op.kind == "delta" else op.stride
-    shifted = _shifted(f.values, f.domain_moduli, op.var, step)
-    codomain = f.codomain_moduli
+    domain = f.domain_moduli
     if op.kind == "shift":
-        rows = shifted
-    elif len(codomain) == 1:
-        # The Taylor and degree tables are all width 1; here the per-row
-        # tuple generator below would cost several times the subtraction
-        # itself.
-        (r,) = codomain
-        if r:
-            rows = [((a - b) % r,) for (a,), (b,) in zip(shifted, f.values)]
-        else:
-            rows = [(a - b,) for (a,), (b,) in zip(shifted, f.values)]
+        columns = tuple([tuple(_shifted(col, domain, op.var, op.stride))
+                         for col in f.columns])
     else:
-        rows = [
-            tuple((a - b) % r if r else a - b for a, b, r in zip(srow, row, codomain))
-            for srow, row in zip(shifted, f.values)
-        ]
-    return FiniteFn._trusted(f.domain_moduli, codomain, tuple(rows))
+        step = 1 if op.kind == "delta" else op.stride
+        columns = tuple([_difference(col, r, domain, op.var, step)
+                         for col, r in zip(f.columns, f.codomain_moduli)])
+    return FiniteFn._trusted(domain, f.codomain_moduli, columns)
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
-    """k-fold forward difference in one variable.
-
-    Runs the k steps on one flat integer column per codomain factor and
-    builds a single table at the end.
-    """
-    _check_var(f, var)
+    """k-fold forward difference in one variable: ``_difference`` k times
+    on each codomain column, one table built at the end."""
+    var = _check_var(f, var)
+    k = as_integer(k, "difference power")
     if k < 0:
         raise ValueError("difference power must be >= 0")
-    if k == 0 or not f.codomain_moduli:
-        return f
-    domain = f.domain_moduli
     columns = []
-    for col, r in zip(zip(*f.values), f.codomain_moduli):
-        col = list(col)
+    for col, r in zip(f.columns, f.codomain_moduli):
         for _ in range(k):
-            col = list(map(sub, _shifted(col, domain, var, 1), col))
-        columns.append([v % r for v in col] if r else col)
-    return FiniteFn._trusted(domain, f.codomain_moduli, tuple(zip(*columns)))
+            col = _difference(col, r, f.domain_moduli, var, 1)
+        columns.append(col)
+    return FiniteFn._trusted(f.domain_moduli, f.codomain_moduli, tuple(columns))
 
 
 def value_sum(f: FiniteFn) -> tuple[Residue, ...]:
     """Componentwise sum of all table values."""
-    acc = [0] * len(f.codomain_moduli)
-    for row in f.values:
-        for i, v in enumerate(row):
-            acc[i] += v
-    return tuple(Residue(v, r) for v, r in zip(acc, f.codomain_moduli))
+    return tuple(Residue(sum(col), r) for col, r in zip(f.columns, f.codomain_moduli))
 
 
 def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
@@ -258,15 +263,17 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     Requires delta^(d+1) f == 0 on the whole (wrapped) domain; then the
     returned polyfract matches f at every domain point.
     """
+    d = as_integer(d, "degree bound")
     if f.nvars != 1:
         raise BadDomain("taylor_expand needs a one-variable table")
     if len(f.codomain_moduli) != 1:
         raise BadCodomain("taylor_expand needs a single codomain factor")
+    op = DiffOp("delta")
     g = f
     coeffs = []
     for _ in range(d + 1):
-        coeffs.append(g.values[0][0])
-        g = apply_diff(DiffOp("delta"), g)
+        coeffs.append(g.columns[0][0])
+        g = apply_diff(op, g)
     if not g.is_zero():
         raise PreconditionFailed(
             f"difference power {d + 1} does not annihilate the table"
@@ -282,7 +289,7 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     the table for every variable j separately (which pins the whole
     coefficient support inside the grid, so the expansion reproduces f).
     """
-    bounds = tuple(bounds)
+    bounds = tuple(as_integer(d, "degree bound") for d in bounds)
     if len(bounds) != f.nvars:
         raise BadDomain("one bound per variable required")
     for var, d in enumerate(bounds):
@@ -294,12 +301,13 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
 
     def collect(table: FiniteFn, var: int, exp: tuple[int, ...]) -> None:
         if var == len(bounds):
-            terms[exp] = table.values[0]
+            terms[exp] = tuple(col[0] for col in table.columns)
             return
         g = table
+        op = DiffOp("delta", var)
         for d in range(bounds[var] + 1):
             collect(g, var + 1, exp + (d,))
-            g = apply_diff(DiffOp("delta", var), g)
+            g = apply_diff(op, g)
 
     collect(f, 0, ())
     return MultiPolyfract(f.codomain_moduli, f.nvars, tuple(terms.items()))
@@ -333,16 +341,17 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     Searches up to the blockwise degree bound plus one; maps that are not
     annihilated by then never are, and NotAnnihilated is raised.
     """
-    _check_var(f, var)
+    var = _check_var(f, var)
     q = f.domain_moduli[var]
     bound = max(
         (periodic_degree_bound(q, r) for r in f.codomain_moduli), default=0
     )
+    op = DiffOp("delta", var)
     g = f
     for applied in range(bound + 2):
         if g.is_zero():
             return applied - 1 if applied else None
-        g = apply_diff(DiffOp("delta", var), g)
+        g = apply_diff(op, g)
     raise NotAnnihilated(
         f"no difference power up to {bound + 1} annihilates variable {var}"
     )
@@ -395,5 +404,4 @@ def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:
         k, divisor = p**alpha - 1, p
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    g = delta_power(f, k)
-    return all(v % divisor == 0 for row in g.values for v in row)
+    return not any(v % divisor for v in delta_power(f, k).columns[0])

@@ -104,11 +104,11 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
     dom, cod = _splits(f)
     for i, p in enumerate(dom.primes):
         in_parts = dom.parts[i]
-        out_parts = cod.parts[i]
+        # No codomain factor leaves outs empty: a map into {0} passes.
+        outs = zip(*[[v % m for v in col] for col, m in zip(f.columns, cod.parts[i])])
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for x, y in zip(f.points(), f.values):
+        for x, out in zip(f.points(), outs):
             key = tuple(map(mod, x, in_parts))
-            out = tuple(map(mod, y, out_parts))
             expected = seen.setdefault(key, out)
             if expected != out:
                 return ClassificationResult(
@@ -120,7 +120,7 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
 def counterexample_is_valid(f: FiniteFn, ce: Counterexample) -> bool:
     """Check a counterexample against the table it came from."""
     dom, cod = _splits(f)
-    if ce.prime not in dom.primes:
+    if ce.prime not in dom.primes or not len(ce.first) == len(ce.second) == f.nvars:
         return False
     i = dom.primes.index(ce.prime)
     return (dom.block(i, ce.first) == dom.block(i, ce.second)
@@ -150,12 +150,12 @@ def represent(f: FiniteFn) -> Witness:
         # A block point is a domain point of that block, and the block test
         # has shown the block output does not depend on the representative.
         # The table constructor reduces each value into the block Z_m.
-        outputs = [f.value(a) for a in product(*(range(q) for q in block_domain))]
-        for k, m in enumerate(cod.parts[i]):
+        cells = [f.index(a) for a in product(*(range(q) for q in block_domain))]
+        for k, (m, col) in enumerate(zip(cod.parts[i], f.columns)):
             if m == 1:
                 continue
             slot = i * t + k
-            table = FiniteFn(block_domain, (m,), tuple((y[k],) for y in outputs))
+            table = FiniteFn(block_domain, (m,), columns=([col[j] for j in cells],))
             for exp, (c,) in interpolate_prime_power(table).terms:
                 full_exp = [0] * nvars
                 full_exp[i * n:(i + 1) * n] = exp
@@ -241,5 +241,4 @@ def brute_force_polyfractal(f: FiniteFn,
     space = r ** (bound + 1)
     if space > max_search:
         raise TooLarge(f"search space {space} exceeds limit {max_search}")
-    table = tuple(row[0] for row in f.values)
-    return table in _representable_tables(q, r, bound)
+    return f.columns[0] in _representable_tables(q, r, bound)

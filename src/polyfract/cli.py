@@ -58,21 +58,6 @@ __all__ = [
 # problem files
 
 
-def _decode_mixed_radix(value: int, moduli: Sequence[int]) -> tuple[int, ...]:
-    coords = []
-    for m in reversed(moduli):
-        coords.append(value % m)
-        value //= m
-    return tuple(reversed(coords))
-
-
-def _encode_mixed_radix(coords: Sequence[int], moduli: Sequence[int]) -> int:
-    value = 0
-    for x, m in zip(coords, moduli):
-        value = value * m + (x % m)
-    return value
-
-
 def _unique_keys(pairs: list) -> dict:
     """json object hook: a key given twice is an error, not last-wins."""
     doc = {}
@@ -129,15 +114,20 @@ def parse_problem(text: str) -> FiniteFn:
         raise ValidationError(
             f"value {bad[0]} is not a mixed-radix encoding for codomain {codomain}"
         )
-    rows = tuple(_decode_mixed_radix(v, codomain) for v in values)
-    return FiniteFn(tuple(domain), tuple(codomain), rows)
+    # Codomain coordinate k of an encoded value v is v // w % r_k, with w
+    # the product of the moduli after r_k.
+    columns = []
+    for k, r in enumerate(codomain):
+        w = prod(codomain[k + 1:])
+        columns.append([v // w % r for v in values])
+    return FiniteFn(tuple(domain), tuple(codomain), columns=columns)
 
 
 def emit_problem(f: FiniteFn) -> str:
     """Serialize a value table back into the problem file format."""
-    values = [
-        _encode_mixed_radix(row, f.codomain_moduli) for row in f.values
-    ]
+    values = [0] * f.size
+    for col, r in zip(f.columns, f.codomain_moduli):
+        values = [v * r + c for v, c in zip(values, col)]
     doc = {
         "domain": list(f.domain_moduli),
         "codomain": list(f.codomain_moduli),

@@ -130,7 +130,7 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     # step sums away the last remaining x axis and puts its delta axis in
     # front; after all n steps the flat list is in delta order.
     tables = {q: _weights(q, r) for q in set(f.domain_moduli)}
-    flat = [row[0] for row in f.values]
+    flat = f.columns[0]
     for q in reversed(f.domain_moduli):
         blocks = [flat[i:i + q] for i in range(0, len(flat), q)]
         flat = [sum(map(mul, weights, block)) % r

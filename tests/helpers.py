@@ -5,20 +5,20 @@ from alternating difference sums over plain ``math.comb``, evaluation from
 direct falling-factorial products.  The kernel references at the end
 keep the library's earlier algorithms; their co-monofract weights come
 from the definition over ``math.comb``, and only ``ref_apply_diff``
-reuses the library's checked ``FiniteFn`` constructor.
+reuses the library's checked ``FiniteFn`` constructor; ``ref_taylor_terms``
+iterates it and ``ref_value_sum`` sums the rows.
 ``ref_representable_tables`` is the brute-force oracle's enumeration as it
 ran before whole-table evaluation, one point at a time.  ``ref_block_scan``
 is the block test as it ran before it keyed groups by their block point,
 with the prime parts worked out by trial division; ``block_built_rows``
 builds polyfractal tables from per-prime block maps on the same parts.
 """
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
 
 from polyfract import MultiPolyfract
-from polyfract.calculus import periodic_degree_bound
+from polyfract.calculus import DiffOp, FiniteFn, periodic_degree_bound
 
 
 def diff_coeffs(values):
@@ -306,7 +306,34 @@ def ref_apply_diff(op, f):
     else:
         rows = [tuple(a - b for a, b in zip(srow, row))
                 for srow, row in zip(shifted, f.values)]
-    return dataclasses.replace(f, values=tuple(rows))
+    return FiniteFn(f.domain_moduli, f.codomain_moduli, tuple(rows))
+
+
+def ref_value_sum(f):
+    """Per-coordinate sums of the rows, reduced mod each codomain modulus."""
+    sums = [sum(row[k] for row in f.values) for k in range(len(f.codomain_moduli))]
+    return tuple(s % r if r else s for s, r in zip(sums, f.codomain_moduli))
+
+
+def ref_taylor_terms(f, bounds):
+    """(exponent, row at 0 of delta_1^d1 ... delta_n^dn f) for every d within
+    bounds, each table one ``ref_apply_diff`` from a smaller exponent's;
+    None when some delta_j^(bounds[j] + 1) f has a nonzero cell."""
+    for var, b in enumerate(bounds):
+        g = f
+        for _ in range(b + 1):
+            g = ref_apply_diff(DiffOp("delta", var), g)
+        if any(any(row) for row in g.values):
+            return None
+    tables = {}
+    for exp in product(*(range(b + 1) for b in bounds)):
+        var = next((j for j in reversed(range(len(exp))) if exp[j]), None)
+        if var is None:
+            tables[exp] = f
+        else:
+            prev = exp[:var] + (exp[var] - 1,) + exp[var + 1:]
+            tables[exp] = ref_apply_diff(DiffOp("delta", var), tables[prev])
+    return [(exp, g.values[0]) for exp, g in tables.items()]
 
 
 def ref_representable_tables(q, r, bound):

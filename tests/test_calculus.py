@@ -21,6 +21,7 @@ from polyfract import (
     value_sum,
 )
 from polyfract.errors import (
+    ArityMismatch,
     BadCodomain,
     BadDomain,
     BadVariableIndex,
@@ -61,6 +62,25 @@ class TestFiniteFnValues:
         with pytest.raises(ValueError, match="row width differs from codomain width"):
             FiniteFn((1,), (3,), ((1, 2),))
 
+    def test_rows_and_columns_together_rejected(self):
+        with pytest.raises(TypeError, match="not both"):
+            FiniteFn((1,), (3,), ((1,),), columns=((1,),))
+
+
+class TestFiniteFnPoints:
+    # g(x) = 3*x_1 on Z_2 x Z_3 -> Z_6
+    g = FiniteFn.from_callable((2, 3), (6,), lambda x: (3 * x[1],))
+
+    def test_points_wrap(self):
+        assert self.g.value((3, 4)) == self.g.value((1, 1)) == (3,)
+        assert self.g.index((-1, -1)) == 5
+
+    @pytest.mark.parametrize("x", [(1,), (0, 1, 9), ()])
+    def test_wrong_arity_rejected(self, x):
+        for lookup in (self.g.index, self.g.value, self.g.residues):
+            with pytest.raises(ArityMismatch, match="needs 2 coordinates"):
+                lookup(x)
+
 
 class TestApplyDiff:
     def test_difference_of_binomial_window(self):
@@ -97,6 +117,16 @@ class TestApplyDiff:
         assert diffed.value((0, 0)) == (10,)
         assert diffed.value((0, 2)) == ((0 - 20) % 30,)
         assert diffed.value((1, 1)) == (10,)
+
+    def test_non_integer_stride_rejected(self):
+        f = FiniteFn.univariate(3, 5, [0, 1, 2])
+        with pytest.raises(ValueError, match=r"^stride 1\.5 is not an integer$"):
+            apply_diff(DiffOp("stride", 0, 1.5), f)
+
+    def test_non_integer_variable_rejected(self):
+        f = FiniteFn.univariate(3, 5, [0, 1, 2])
+        with pytest.raises(BadVariableIndex, match=r"^variable 0\.0 is not an integer$"):
+            apply_diff(DiffOp("delta", 0.0), f)
 
     def test_bad_variable(self):
         f = FiniteFn.univariate(2, 3, [0, 1])
@@ -164,6 +194,11 @@ class TestDeltaPower:
         with pytest.raises(ValueError, match="difference power must be >= 0"):
             delta_power(f, k)
 
+    def test_non_integer_power_rejected(self):
+        f = FiniteFn.univariate(4, 3, [0, 1, 2, 0])
+        with pytest.raises(ValueError, match=r"^difference power 2\.0 is not an integer$"):
+            delta_power(f, 2.0)
+
 
 class TestValueSum:
     def test_derivative_sums_to_zero(self):
@@ -205,6 +240,11 @@ class TestTaylor:
         with pytest.raises(BadCodomain):
             taylor_expand(FiniteFn((2,), (4, 4), ((0, 0),) * 2), 1)
 
+    def test_non_integer_degree_rejected(self):
+        f = FiniteFn.univariate(2, 4, [1, 3])
+        with pytest.raises(ValueError, match=r"^degree bound 2\.5 is not an integer$"):
+            taylor_expand(f, 2.5)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_on_periodic_polyfracts(self, data):
@@ -231,6 +271,11 @@ class TestTaylor:
         with pytest.raises(PreconditionFailed):
             taylor_expand_multi(f, (0, 0))
 
+    def test_multivariate_non_integer_bound_rejected(self):
+        f = FiniteFn.from_callable((2, 2), (4,), lambda x: (x[0] + 2 * x[1],))
+        with pytest.raises(ValueError, match=r"^degree bound 1\.0 is not an integer$"):
+            taylor_expand_multi(f, (1, 1.0))
+
 
 class TestMapDegree:
     def test_constant_nonzero(self):
@@ -255,6 +300,11 @@ class TestMapDegree:
         f = FiniteFn.univariate(3, 2, [0, 1, 0])
         with pytest.raises(NotAnnihilated):
             map_degree(f)
+
+    def test_non_integer_variable_rejected(self):
+        f = FiniteFn.univariate(4, 4, [0, 1, 2, 3])
+        with pytest.raises(BadVariableIndex, match=r"^variable 0\.0 is not an integer$"):
+            map_degree(f, 0.0)
 
 
 class TestHrycaj:

@@ -87,6 +87,14 @@ class TestIsPolyfractal:
         assert res.counterexample.prime == 3
         assert counterexample_is_valid(g, res.counterexample)
 
+    def test_counterexample_of_wrong_arity_is_invalid(self):
+        # g(x) = 3*x_1 splits the 2-block at (0, 0) and (0, 1); points with
+        # a third coordinate do not name domain points at all.
+        g = FiniteFn.from_callable((2, 3), (6,), lambda x: (3 * x[1],))
+        assert counterexample_is_valid(g, Counterexample(2, (0, 0), (0, 1)))
+        assert not counterexample_is_valid(g, Counterexample(2, (0, 0, 7), (0, 1, 9)))
+        assert not counterexample_is_valid(g, Counterexample(2, (0, 0), (1,)))
+
 
 class TestRepresent:
     def test_family_merged_coefficients(self):

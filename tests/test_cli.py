@@ -1,11 +1,13 @@
 """File formats, command dispatch, exit codes, deterministic emission."""
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyfract
 from polyfract import MultiPolyfract, UniPolyfract
@@ -68,6 +70,25 @@ class TestProblemFiles:
         table = parse_problem(json.dumps(doc))
         # 11 = 3*3 + 2 in mixed radix over (4, 3)
         assert table.values == ((3, 2), (0, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mixed_radix_round_trip(self, data):
+        domain = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+        codomain = data.draw(st.lists(st.integers(1, 6), max_size=3))
+        size, span = math.prod(domain), math.prod(codomain)
+        values = data.draw(st.lists(st.integers(0, span - 1),
+                                    min_size=size, max_size=size))
+        doc = {"domain": domain, "codomain": codomain, "values": values}
+        table = parse_problem(json.dumps(doc))
+        for v, row in zip(values, table.values):
+            # the first codomain factor is the most significant digit
+            encoded = 0
+            for x, m in zip(row, codomain):
+                assert 0 <= x < m
+                encoded = encoded * m + x
+            assert encoded == v
+        assert json.loads(emit_problem(table)) == doc
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,4 @@
-"""Binomials, the interpolation contraction, the difference row kernel and
+"""Binomials, the interpolation contraction, the difference kernel and
 whole-table evaluation against their references.
 
 ``exactnum.binom`` must match the falling-factorial formula, ``cofract``
@@ -9,20 +9,25 @@ difference rebuilt through ``FiniteFn``'s constructor
 (``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns, and
 every polyfract ``interpolate_prime_power`` returns, must be one the
 checked constructor would build from the same data; the constructor's
-row reduction must match the per-cell ``canonical``.  ``delta_power``'s
-flat columns must match iterated ``ref_apply_diff``, ``UniPolyfract.values``
-(prefix sums) the per-point ``evaluate``, and the brute-force oracle's
-enumeration the per-point ``helpers.ref_representable_tables``.
+reduction must match the per-cell ``canonical``, and a table built from
+rows must equal, hash like and be rejected like the one built from the
+same columns.  ``delta_power`` must match iterated ``ref_apply_diff``,
+``value_sum`` and ``taylor_expand_multi`` the row references
+``helpers.ref_value_sum`` and ``helpers.ref_taylor_terms``,
+``UniPolyfract.values`` (prefix sums) the per-point ``evaluate``, and the
+brute-force oracle's enumeration the per-point
+``helpers.ref_representable_tables``.
 """
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from polyfract import (
     DiffOp,
     FiniteFn,
     MultiPolyfract,
+    Residue,
     UniPolyfract,
     apply_diff,
     binom,
@@ -30,9 +35,12 @@ from polyfract import (
     delta_power,
     extend_information_coeffs,
     interpolate_prime_power,
+    taylor_expand_multi,
+    value_sum,
 )
 from polyfract.calculus import periodic_degree_bound
 from polyfract.classify import _representable_tables
+from polyfract.errors import PreconditionFailed
 from polyfract.exactnum import canonical
 
 from helpers import (
@@ -42,6 +50,8 @@ from helpers import (
     ref_cofract,
     ref_interpolate_prime_power,
     ref_representable_tables,
+    ref_taylor_terms,
+    ref_value_sum,
 )
 
 
@@ -126,9 +136,9 @@ MODULI = (0, 1, 2, 3, 4, 8, 9, 25, 27)
 @st.composite
 def raw_tables(draw):
     """Moduli and unreduced rows of a table on 1-3 small cyclic factors into
-    a width 1-3 codomain that mixes Z, the trivial group and prime powers."""
+    a width 0-3 codomain that mixes Z, the trivial group and prime powers."""
     domain = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
-    codomain = tuple(draw(st.lists(st.sampled_from(MODULI), min_size=1, max_size=3)))
+    codomain = tuple(draw(st.lists(st.sampled_from(MODULI), min_size=0, max_size=3)))
     size = prod(domain)
     rows = draw(st.lists(
         st.tuples(*(st.integers(-60, 60) for _ in codomain)),
@@ -149,6 +159,76 @@ class TestFiniteFnRows:
         expected = tuple(tuple(canonical(v, r) for v, r in zip(row, codomain))
                          for row in rows)
         assert FiniteFn(domain, codomain, rows).values == expected
+
+
+# Z, the trivial group, prime powers and composites.
+FORMAT_MODULI = (0, 1, 2, 4, 6, 9, 12, 30)
+
+
+@st.composite
+def format_tables(draw):
+    """Domain, codomain and unreduced rows, entries ints or bools, on a
+    width 0-3 codomain over ``FORMAT_MODULI``."""
+    domain = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    codomain = tuple(draw(st.lists(st.sampled_from(FORMAT_MODULI), max_size=3)))
+    cell = st.one_of(st.integers(-60, 60), st.booleans())
+    rows = draw(st.lists(st.tuples(*(cell for _ in codomain)),
+                         min_size=prod(domain), max_size=prod(domain)))
+    return domain, codomain, rows
+
+
+def _columns(rows, width):
+    return [[row[k] for row in rows] for k in range(width)]
+
+
+def _rejection(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestColumnFormat:
+    """Row-built and column-built tables are one format."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(format_tables())
+    def test_routes_agree(self, table):
+        domain, codomain, rows = table
+        by_rows = FiniteFn(domain, codomain, rows)
+        by_columns = FiniteFn(domain, codomain, columns=_columns(rows, len(codomain)))
+        assert by_rows == by_columns
+        assert hash(by_rows) == hash(by_columns)
+        assert by_rows.values == by_columns.values == tuple(
+            tuple(canonical(v, r) for v, r in zip(row, codomain)) for row in rows
+        )
+        assert all(type(v) is int for col in by_columns.columns for v in col)
+        assert all(type(col) is tuple for col in by_columns.columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(format_tables(), st.sampled_from(
+        ("extra row", "missing row", "wide", "narrow", "float", "string", "none")),
+        st.data())
+    def test_routes_reject_alike(self, table, defect, data):
+        domain, codomain, rows = table
+        width = len(codomain)
+        # A width-0 table has no column to carry a row count or a cell.
+        assume(width or defect == "wide")
+        rows = [list(row) for row in rows]
+        if defect == "extra row":
+            rows.append([0] * width)
+        elif defect == "missing row":
+            rows.pop()
+        elif defect == "wide":
+            rows = [row + [0] for row in rows]
+        elif defect == "narrow":
+            rows = [row[:-1] for row in rows]
+        else:
+            i = data.draw(st.integers(0, len(rows) - 1))
+            k = data.draw(st.integers(0, width - 1))
+            rows[i][k] = {"float": 2.0, "string": "1", "none": None}[defect]
+        columns = _columns(rows, width + {"wide": 1, "narrow": -1}.get(defect, 0))
+        assert (_rejection(lambda: FiniteFn(domain, codomain, rows))
+                == _rejection(lambda: FiniteFn(domain, codomain, columns=columns)))
 
 
 class TestApplyDiff:
@@ -180,6 +260,30 @@ class TestDeltaPower:
         g = delta_power(f, k, var)
         assert g == expected
         assert FiniteFn(g.domain_moduli, g.codomain_moduli, g.values) == g
+
+
+class TestValueSum:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_tables())
+    def test_matches_row_sums(self, f):
+        assert value_sum(f) == tuple(
+            Residue(v, r) for v, r in zip(ref_value_sum(f), f.codomain_moduli)
+        )
+
+
+class TestTaylorExpandMulti:
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_tables(), st.data())
+    def test_matches_iterated_reference(self, f, data):
+        bounds = tuple(data.draw(st.integers(0, min(3 * q, 6))) for q in f.domain_moduli)
+        terms = ref_taylor_terms(f, bounds)
+        event("annihilated" if terms is not None else "not annihilated")
+        if terms is None:
+            with pytest.raises(PreconditionFailed, match="does not annihilate"):
+                taylor_expand_multi(f, bounds)
+        else:
+            assert taylor_expand_multi(f, bounds) == MultiPolyfract(
+                f.codomain_moduli, f.nvars, tuple(terms))
 
 
 # Composite moduli, prime powers, Z itself and the trivial group.
