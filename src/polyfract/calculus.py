@@ -90,7 +90,7 @@ class FiniteFn:
                 for col, r in zip(columns, codomain)
             ])
         except TypeError:
-            for v in chain.from_iterable(columns):
+            for v in chain.from_iterable(zip(*columns)):
                 as_integer(v, "table value")
             raise
         object.__setattr__(self, "columns", columns)
@@ -116,8 +116,9 @@ class FiniteFn:
     @classmethod
     def from_callable(cls, domain: Sequence[int], codomain: Sequence[int],
                       fn: Callable[[tuple[int, ...]], Sequence[int]]) -> "FiniteFn":
+        domain = tuple(domain)
         rows = [tuple(fn(x)) for x in product(*(range(q) for q in domain))]
-        return cls(tuple(domain), tuple(codomain), rows)
+        return cls(domain, tuple(codomain), rows)
 
     @cached_property
     def values(self) -> tuple[tuple[int, ...], ...]:
@@ -178,7 +179,6 @@ class DiffOp:
     def __post_init__(self):
         if self.kind not in ("shift", "delta", "stride"):
             raise ValueError(f"unknown difference kind {self.kind!r}")
-        object.__setattr__(self, "var", as_integer(self.var, "variable", BadVariableIndex))
         object.__setattr__(self, "stride", as_integer(self.stride, "stride"))
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
@@ -224,14 +224,14 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     interp and certify until its span map follows the kernels (ROADMAP
     item 1).
     """
-    _check_var(f, op.var)
+    var = _check_var(f, op.var)
     domain = f.domain_moduli
     if op.kind == "shift":
-        columns = tuple([tuple(_shifted(col, domain, op.var, op.stride))
+        columns = tuple([tuple(_shifted(col, domain, var, op.stride))
                          for col in f.columns])
     else:
         step = 1 if op.kind == "delta" else op.stride
-        columns = tuple([_difference(col, r, domain, op.var, step)
+        columns = tuple([_difference(col, r, domain, var, step)
                          for col, r in zip(f.columns, f.codomain_moduli)])
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
 

@@ -125,6 +125,8 @@ def parse_problem(text: str) -> FiniteFn:
 
 def emit_problem(f: FiniteFn) -> str:
     """Serialize a value table back into the problem file format."""
+    if 0 in f.codomain_moduli:
+        raise ValidationError("codomain entries must be >= 1")
     values = [0] * f.size
     for col, r in zip(f.columns, f.codomain_moduli):
         values = [v * r + c for v, c in zip(values, col)]

@@ -5,15 +5,13 @@ mutant at a time to the copy, runs the test files that should kill it and
 reports every mutant that survives.  Stdlib only; pytest does not collect
 this file.  Run from anywhere:
 
-    python tests/mutation.py             # every mutant
-    python tests/mutation.py shifted     # mutants whose name contains "shifted"
+    python tests/mutation.py
 
 Exit status 0 when every mutant is killed except those listed in
 ``EQUIVALENT``, which must survive; 1 otherwise.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -145,16 +143,11 @@ def _killed(root: Path, mutant: Mutant) -> bool:
     return proc.returncode == 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("pattern", nargs="?", default="",
-                    help="run only the mutants whose name contains this text")
-    args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.pattern in m.name]
+def main() -> int:
     survivors = []
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="polyfract-mutation-") as tmp:
-        for mutant in chosen:
+        for mutant in MUTANTS:
             t0 = time.monotonic()
             killed = _killed(Path(tmp), mutant)
             if killed == (mutant.name in EQUIVALENT):
@@ -165,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{verdict:8s} {secs:5.1f} s  {mutant.name}", flush=True)
             if mutant.name in EQUIVALENT:
                 print(f"{'':17s}equivalent: {EQUIVALENT[mutant.name]}")
-    print(f"{len(chosen) - len(survivors)}/{len(chosen)} mutants killed or survived "
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed or survived "
           f"as equivalent in {time.monotonic() - start:.0f} s")
     for name in survivors:
         print(f"unexpected: {name}")

@@ -58,6 +58,14 @@ class TestFiniteFnValues:
     def test_bools_are_integers(self):
         assert FiniteFn((2,), (3,), ((True,), (False,))).values == ((1,), (0,))
 
+    def test_first_bad_cell_in_row_order_named(self):
+        # 1.5 is at (row 0, column 1), 2.5 at (row 1, column 0)
+        message = r"^table value 1\.5 is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            FiniteFn((2,), (3, 3), ((0, 1.5), (2.5, 0)))
+        with pytest.raises(ValueError, match=message):
+            FiniteFn((2,), (3, 3), columns=((0, 2.5), (1.5, 0)))
+
     def test_rows_wider_than_codomain_rejected(self):
         with pytest.raises(ValueError, match="row width differs from codomain width"):
             FiniteFn((1,), (3,), ((1, 2),))
@@ -70,6 +78,10 @@ class TestFiniteFnValues:
 class TestFiniteFnPoints:
     # g(x) = 3*x_1 on Z_2 x Z_3 -> Z_6
     g = FiniteFn.from_callable((2, 3), (6,), lambda x: (3 * x[1],))
+
+    def test_from_callable_takes_a_one_shot_domain(self):
+        g = FiniteFn.from_callable(iter((2, 3)), (6,), lambda x: (3 * x[1],))
+        assert g == self.g
 
     def test_points_wrap(self):
         assert self.g.value((3, 4)) == self.g.value((1, 1)) == (3,)

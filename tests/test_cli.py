@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyfract
-from polyfract import MultiPolyfract, UniPolyfract
+from polyfract import FiniteFn, MultiPolyfract, UniPolyfract
 from polyfract.certify import CertifyOptions
 from polyfract.cli import (
     build_parser,
@@ -105,6 +105,12 @@ class TestProblemFiles:
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_problem("{nope}")
+
+    @pytest.mark.parametrize("codomain", [(0,), (3, 0), (0, 3)])
+    def test_emit_rejects_integer_codomain(self, codomain):
+        table = FiniteFn((2,), codomain, ((1,) * len(codomain), (2,) * len(codomain)))
+        with pytest.raises(ValidationError, match="codomain entries must be >= 1"):
+            emit_problem(table)
 
     def test_round_trip_idempotent(self):
         first = parse_problem(INDICATOR_PROBLEM)

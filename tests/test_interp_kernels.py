@@ -223,12 +223,20 @@ class TestColumnFormat:
         elif defect == "narrow":
             rows = [row[:-1] for row in rows]
         else:
-            i = data.draw(st.integers(0, len(rows) - 1))
-            k = data.draw(st.integers(0, width - 1))
-            rows[i][k] = {"float": 2.0, "string": "1", "none": None}[defect]
+            # up to three bad cells, so the one named must be the first in row order
+            cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                                 st.integers(0, width - 1)),
+                                       min_size=1, max_size=3, unique=True))
+            bad = iter({"float": (2.0, 0.5, -3.0), "string": ("1", "a", ""),
+                        "none": (None,) * 3}[defect])
+            for i, k in cells:
+                rows[i][k] = next(bad)
         columns = _columns(rows, width + {"wide": 1, "narrow": -1}.get(defect, 0))
-        assert (_rejection(lambda: FiniteFn(domain, codomain, rows))
-                == _rejection(lambda: FiniteFn(domain, codomain, columns=columns)))
+        rejection = _rejection(lambda: FiniteFn(domain, codomain, rows))
+        assert rejection == _rejection(lambda: FiniteFn(domain, codomain, columns=columns))
+        if defect in ("float", "string", "none"):
+            first = next(v for row in rows for v in row if type(v) not in (int, bool))
+            assert rejection == (ValueError, f"table value {first!r} is not an integer")
 
 
 class TestApplyDiff:
@@ -253,13 +261,12 @@ class TestDeltaPower:
     @given(mixed_tables(), st.data())
     def test_matches_iterated_reference(self, f, data):
         var = data.draw(st.integers(0, f.nvars - 1))
-        k = data.draw(st.integers(0, 6))
         expected = f
-        for _ in range(k):
+        for k in range(7):
+            g = delta_power(f, k, var)
+            assert g == expected
+            assert FiniteFn(g.domain_moduli, g.codomain_moduli, g.values) == g
             expected = ref_apply_diff(DiffOp("delta", var), expected)
-        g = delta_power(f, k, var)
-        assert g == expected
-        assert FiniteFn(g.domain_moduli, g.codomain_moduli, g.values) == g
 
 
 class TestValueSum:
