@@ -83,6 +83,15 @@ def _tables(q: int, height: int, opts: CertifyOptions, rng: random.Random):
             yield tuple(rng.randrange(height) for _ in range(q))
 
 
+def _table(q: int, r: int, values) -> FiniteFn:
+    """A sweep's own table on Z_q -> Z_r, built once without re-checking.
+
+    The sweeps generate every value themselves, already canonical: below
+    r, or any int when r is 0.  The library constructors stay checked.
+    """
+    return FiniteFn._trusted((q,), (r,), (tuple(values),))
+
+
 def check_divisibility(opts: CertifyOptions) -> CheckResult:
     """Iterated differences of integer tables on p-power cycles are
     divisible by the predicted prime powers, in both exponent regimes."""
@@ -92,7 +101,7 @@ def check_divisibility(opts: CertifyOptions) -> CheckResult:
         q = p**alpha
         for mode in ("sharp", "coarse"):
             for table in _tables(q, p**beta, opts, rng):
-                f = FiniteFn.univariate(q, 0, table)
+                f = _table(q, 0, table)
                 if not divisibility_check(f, beta, mode):
                     return CheckResult(
                         "divisibility", False,
@@ -105,7 +114,7 @@ def check_divisibility(opts: CertifyOptions) -> CheckResult:
         for _ in range(min(opts.samples, 200)):
             head = [rng.randrange(-9, 10) for _ in range(q - 1)]
             table = head + [-sum(head)]
-            f = FiniteFn.univariate(q, 0, table)
+            f = _table(q, 0, table)
             if not divisibility_check(f, 1, "single"):
                 return CheckResult(
                     "divisibility", False,
@@ -234,7 +243,7 @@ def check_degree_bound(opts: CertifyOptions) -> CheckResult:
         best = -1
         exhaustive = (p**beta) ** q <= EXHAUSTIVE_LIMIT
         for table in _tables(q, p**beta, opts, rng):
-            f = FiniteFn.univariate(q, p**beta, table)
+            f = _table(q, p**beta, table)
             total, _ = interpolate_prime_power(f).degrees()
             total = -1 if total is None else total
             if total > bound:
@@ -262,7 +271,7 @@ def check_counting(opts: CertifyOptions) -> CheckResult:
                 continue
             hits = 0
             for table in product(range(r), repeat=q):
-                f = FiniteFn.univariate(q, r, table)
+                f = _table(q, r, table)
                 verdict = is_polyfractal(f)
                 oracle = brute_force_polyfractal(
                     f, opts.max_search, opts.degree_bound_override
@@ -301,7 +310,7 @@ def check_taylor_interpolation(opts: CertifyOptions) -> CheckResult:
         r = p**beta
         bound = degree_bound(p, beta, [alpha])
         for table in _tables(q, r, opts, rng):
-            f = FiniteFn.univariate(q, r, table)
+            f = _table(q, r, table)
             via_taylor = taylor_expand(f, bound)
             via_interp = interpolate_prime_power(f).component_uni(0)
             if via_taylor != via_interp:
@@ -331,9 +340,7 @@ def check_taylor_interpolation(opts: CertifyOptions) -> CheckResult:
 
 def _random_periodic(q: int, r: int, rng: random.Random) -> UniPolyfract:
     table = [rng.randrange(r) for _ in range(q)]
-    return interpolate_prime_power(
-        FiniteFn.univariate(q, r, table)
-    ).component_uni(0)
+    return interpolate_prime_power(_table(q, r, table)).component_uni(0)
 
 
 def check_split_merge(opts: CertifyOptions) -> CheckResult:

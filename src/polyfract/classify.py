@@ -204,16 +204,17 @@ def _representable_tables(q: int, r: int, bound: int) -> frozenset[tuple[int, ..
 
     Every q-periodic polyfract has degree at most the blockwise bound, so
     enumerating coefficient vectors up to that degree and keeping the
-    periodic ones is exhaustive.  Each vector's values at 0..q+bound come
-    straight from ``table_values``; the polyfract is periodic when the
-    last bound + 1 of them repeat the first, since P(x + q) - P(x) has
-    degree at most bound.
+    periodic ones is exhaustive.  Each vector's values at 0..q+bound-1
+    come straight from ``table_values``; the polyfract is periodic when
+    the last bound of them repeat the first, since P(x + q) - P(x) has
+    degree at most bound - 1 (its C(x, bound) coefficient cancels), and a
+    polyfract of degree below bound that vanishes at 0..bound-1 is zero.
     """
     found = set()
-    span = q + bound + 1
+    span = q + bound
     for coeffs in product(range(r), repeat=bound + 1):
         vals = table_values(coeffs, r, 0, span)
-        if vals[q:] == vals[:bound + 1]:
+        if vals[q:] == vals[:bound]:
             found.add(tuple(vals[:q]))
     return frozenset(found)
 
@@ -227,8 +228,10 @@ def brute_force_polyfractal(f: FiniteFn,
     Independent of the block-dependency logic; the search space is
     r ** (bound + 1) coefficient vectors and is guarded by max_search.
     ``degree_bound`` overrides the blockwise bound (testing only; a too
-    small value loses completeness).
+    small value loses completeness; a negative one raises ValueError).
     """
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     if f.nvars != 1 or len(f.codomain_moduli) != 1:
         raise NotCyclic("the oracle handles cyclic domain and codomain only")
     q = f.domain_moduli[0]

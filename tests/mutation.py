@@ -46,12 +46,12 @@ MUTANTS = (
            "row = [diffs[-1]] * (n - 1)",
            (KERNELS + "TestTableValues",)),
     Mutant("periodicity on too few points", "src/polyfract/classify.py",
-           "if vals[q:] == vals[:bound + 1]:",
-           "if vals[q:-2] == vals[:bound - 1]:",
+           "if vals[q:] == vals[:bound]:",
+           "if vals[q:-2] == vals[:bound - 2]:",
            (KERNELS + "TestOracleEnumeration",)),
     Mutant("periodicity on one point fewer", "src/polyfract/classify.py",
-           "if vals[q:] == vals[:bound + 1]:",
-           "if vals[q:-1] == vals[:bound]:",
+           "if vals[q:] == vals[:bound]:",
+           "if vals[q:-1] == vals[:bound - 1]:",
            (KERNELS + "TestOracleEnumeration",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
@@ -87,15 +87,16 @@ MUTANTS = (
            "w = prod(codomain[k + 1:])",
            "w = prod(codomain[:k])",
            ("tests/test_cli.py::TestProblemFiles",)),
+    # trusted sweep tables: certify still passes, since interpolation
+    # reduces mod r, and no case count moves
+    Mutant("sweep hands over its modulus as a value", "src/polyfract/certify.py",
+           "f = _table(q, p**beta, table)",
+           "f = _table(q, p**beta, [v or p**beta for v in table])",
+           ("tests/test_certify.py",)),
 )
 
 # Mutants that change no result, so no test can kill them, with the reason.
-EQUIVALENT = {
-    "periodicity on one point fewer":
-        "P(x + q) - P(x) has degree at most bound - 1 (its C(x, bound) "
-        "coefficient is P_bound - P_bound), and a polyfract of degree below m "
-        "that vanishes at 0..m-1 is zero, so bound points already decide it",
-}
+EQUIVALENT: dict[str, str] = {}
 
 # Loaded by the copied tests: no shrinking and no example database, so a
 # failing mutant stops at its first counterexample.

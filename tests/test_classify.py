@@ -344,6 +344,15 @@ class TestBruteForce:
         assert brute_force_polyfractal(f)
         assert not brute_force_polyfractal(f, degree_bound=1)
 
+    @pytest.mark.parametrize("bound", [-1, -2])
+    def test_negative_bound_rejected(self, bound):
+        # also on a trivial codomain, where every map is polyfractal
+        for r in (4, 1):
+            f = FiniteFn.univariate(2, r, [0, 0])
+            with pytest.raises(ValueError,
+                               match=f"degree bound must be >= 0, got {bound}"):
+                brute_force_polyfractal(f, degree_bound=bound)
+
     def test_agrees_with_block_test_on_small_groups(self):
         for q, r in [(2, 2), (2, 3), (3, 4), (4, 4), (4, 6), (6, 4)]:
             for t in all_tables(q, r):

@@ -451,8 +451,19 @@ class TestCommands:
             "--max-alpha", "1", "--max-beta", "1",
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines and all(line.startswith("PASS") for line in lines)
+        # exact case counts, so a sweep that silently tests fewer tables fails
+        assert out.splitlines() == [
+            "PASS divisibility: 122 tables checked",
+            "PASS cofract-tail: 18 values checked",
+            "PASS lagrange: 5 cases checked",
+            "PASS hrycaj: 30 random polyfracts checked",
+            "PASS grid-vanishing: 30 random grids checked",
+            "PASS degree-bound: 31 interpolations checked",
+            "PASS counting: 56 maps checked",
+            "PASS taylor-interpolation: 91 cases checked",
+            "PASS split-merge: 30 round trips checked",
+            "PASS ring-laws: 30 random triples checked",
+        ]
 
     def test_certify_guard_exit_code(self, run):
         code, _, err = run(
