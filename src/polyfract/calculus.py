@@ -154,8 +154,10 @@ class FiniteFn:
         return product(*(range(q) for q in self.domain_moduli))
 
     def value(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Table entry at x; coordinates wrap through the periodicity."""
-        return self.values[self.index(x)]
+        """Table entry at x, read from each column; coordinates wrap
+        through the periodicity."""
+        i = self.index(x)
+        return tuple([col[i] for col in self.columns])
 
     def residues(self, x: Sequence[int]) -> tuple[Residue, ...]:
         return tuple(map(Residue, self.value(x), self.codomain_moduli))
@@ -264,6 +266,8 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     returned polyfract matches f at every domain point.
     """
     d = as_integer(d, "degree bound")
+    if d < 0:
+        raise ValueError(f"degree bound must be >= 0, got {d}")
     if f.nvars != 1:
         raise BadDomain("taylor_expand needs a one-variable table")
     if len(f.codomain_moduli) != 1:
@@ -292,6 +296,9 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     bounds = tuple(as_integer(d, "degree bound") for d in bounds)
     if len(bounds) != f.nvars:
         raise BadDomain("one bound per variable required")
+    for d in bounds:
+        if d < 0:
+            raise ValueError(f"degree bound must be >= 0, got {d}")
     for var, d in enumerate(bounds):
         if not delta_power(f, d + 1, var).is_zero():
             raise PreconditionFailed(
@@ -363,6 +370,7 @@ def hrycaj_periodicity(p: UniPolyfract, q: int) -> bool:
     True iff sum_j C(q, j) * P_(d+j), j = 1..q, vanishes mod r for every
     d up to the degree; equivalent to P(x + q) = P(x) for all x.
     """
+    q = as_integer(q, "period")
     if q < 1:
         raise ValueError("period must be >= 1")
     deg = p.degree
@@ -392,6 +400,7 @@ def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:
     if len(fac) != 1:
         raise BadDomain(f"domain order {f.domain_moduli[0]} is not a prime power")
     ((p, alpha),) = fac
+    beta = as_integer(beta, "beta")
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if mode == "sharp":

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import prod
-from operator import mod
+from itertools import compress, count, product
+from math import comb, prod
+from operator import ne
 from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
@@ -23,7 +23,7 @@ from .exactnum import Residue
 from .groups import Splitting, merge_variables, split_group
 from .lagrange import interpolate_prime_power
 from .multi import MultiPolyfract
-from .uni import RationalPoly, UniPolyfract, table_values
+from .uni import RationalPoly, UniPolyfract
 
 __all__ = [
     "ClassificationResult",
@@ -92,28 +92,49 @@ class ClassificationResult:
     witness: Witness | None = None
 
 
+def _block_cells(domain: tuple[int, ...], parts: tuple[int, ...]) -> list[int]:
+    """Index of each point's block point x mod parts (taken one coordinate
+    at a time), for the points in index order."""
+    cells = [0]
+    stride = prod(domain)
+    for q, m in zip(domain, parts):
+        stride //= q
+        offsets = list(range(0, m * stride, stride)) * (q // m)
+        cells = [c + o for c in cells for o in offsets]
+    return cells
+
+
 def is_polyfractal(f: FiniteFn) -> ClassificationResult:
     """Block-dependency test for representability by a rational polynomial.
 
-    Scans primes in order and domain points lexicographically, grouping
-    points by their block coordinates; the first block output that varies
-    within a group yields the reported counterexample.  The first point of
-    a group is its block point a itself (a_j < P_j <= q_j), so the group's
-    key doubles as that point.
+    For each prime in order, every codomain column is reduced into that
+    prime's block and compared, as a whole, with itself read at each
+    point's block point a = x mod P (a_j < P_j <= q_j, so a is the first
+    point of its group in index order).  A prime whose domain parts are
+    the whole domain, or whose codomain block is trivial, cannot fail.
+    The counterexample is the earliest point that clashes in any column,
+    paired with its block point.
     """
     dom, cod = _splits(f)
+    domain = f.domain_moduli
     for i, p in enumerate(dom.primes):
         in_parts = dom.parts[i]
-        # No codomain factor leaves outs empty: a map into {0} passes.
-        outs = zip(*[[v % m for v in col] for col, m in zip(f.columns, cod.parts[i])])
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for x, out in zip(f.points(), outs):
-            key = tuple(map(mod, x, in_parts))
-            expected = seen.setdefault(key, out)
-            if expected != out:
-                return ClassificationResult(
-                    False, counterexample=Counterexample(p, key, x)
-                )
+        if in_parts == domain:
+            continue
+        cells = first = None
+        for col, m, r in zip(f.columns, cod.parts[i], f.codomain_moduli):
+            if m == 1:
+                continue
+            if cells is None:
+                cells = _block_cells(domain, in_parts)
+            red = list(col) if m == r else [v % m for v in col]
+            got = list(map(red.__getitem__, cells))
+            if got != red:
+                j = next(compress(count(), map(ne, got, red)))
+                first = j if first is None else min(first, j)
+        if first is not None:
+            return ClassificationResult(False, counterexample=Counterexample(
+                p, f.point(cells[first]), f.point(first)))
     return ClassificationResult(True)
 
 
@@ -204,18 +225,31 @@ def _representable_tables(q: int, r: int, bound: int) -> frozenset[tuple[int, ..
 
     Every q-periodic polyfract has degree at most the blockwise bound, so
     enumerating coefficient vectors up to that degree and keeping the
-    periodic ones is exhaustive.  Each vector's values at 0..q+bound-1
-    come straight from ``table_values``; the polyfract is periodic when
-    the last bound of them repeat the first, since P(x + q) - P(x) has
-    degree at most bound - 1 (its C(x, bound) coefficient cancels), and a
-    polyfract of degree below bound that vanishes at 0..bound-1 is zero.
+    periodic ones is exhaustive.  The vectors are walked depth first,
+    carrying the partial sums sum_{j<k} c_j*C(x, j) mod r at x =
+    0..q+bound-1 over rows C(x, k) mod r built once, so each vector costs
+    one list of q+bound values.  The polyfract is periodic when the last
+    bound of them repeat the first, since P(x + q) - P(x) has degree at
+    most bound - 1 (its C(x, bound) coefficient cancels), and a polyfract
+    of degree below bound that vanishes at 0..bound-1 is zero.
     """
-    found = set()
     span = q + bound
-    for coeffs in product(range(r), repeat=bound + 1):
-        vals = table_values(coeffs, r, 0, span)
-        if vals[q:] == vals[:bound]:
-            found.add(tuple(vals[:q]))
+    rows = [[comb(x, k) % r for x in range(span)] for k in range(bound + 1)]
+    last = len(rows) - 1
+    found = set()
+    # each entry: the values of the coefficients chosen below degree k;
+    # adding row k c times makes c the degree-k coefficient
+    stack = [([0] * span, 0)]
+    while stack:
+        sums, k = stack.pop()
+        row = rows[k]
+        for c in range(r):
+            if c:
+                sums = [(s + b) % r for s, b in zip(sums, row)]
+            if k < last:
+                stack.append((sums, k + 1))
+            elif sums[q:] == sums[:bound]:
+                found.add(tuple(sums[:q]))
     return frozenset(found)
 
 

@@ -36,7 +36,7 @@ CALCULUS = "src/polyfract/calculus.py"
 KERNELS = "tests/test_interp_kernels.py::"
 
 MUTANTS = (
-    # whole-table evaluation and the brute-force oracle
+    # whole-table evaluation and the brute-force oracle's enumeration
     Mutant("wrong C(start, i) row", "src/polyfract/uni.py",
            "row.append(row[-1] * (start - i + 1) // i)",
            "row.append(row[-1] * (start - i) // i)",
@@ -46,13 +46,26 @@ MUTANTS = (
            "row = [diffs[-1]] * (n - 1)",
            (KERNELS + "TestTableValues",)),
     Mutant("periodicity on too few points", "src/polyfract/classify.py",
-           "if vals[q:] == vals[:bound]:",
-           "if vals[q:-2] == vals[:bound - 2]:",
+           "elif sums[q:] == sums[:bound]:",
+           "elif sums[q:-2] == sums[:bound - 2]:",
            (KERNELS + "TestOracleEnumeration",)),
     Mutant("periodicity on one point fewer", "src/polyfract/classify.py",
-           "if vals[q:] == vals[:bound]:",
-           "if vals[q:-1] == vals[:bound - 1]:",
+           "elif sums[q:] == sums[:bound]:",
+           "elif sums[q:-1] == sums[:bound - 1]:",
            (KERNELS + "TestOracleEnumeration",)),
+    Mutant("top binomial row dropped", "src/polyfract/classify.py",
+           "for k in range(bound + 1)]",
+           "for k in range(bound)]",
+           (KERNELS + "TestOracleEnumeration",)),
+    # the block test
+    Mutant("block point by the full modulus", "src/polyfract/classify.py",
+           "cells = _block_cells(domain, in_parts)",
+           "cells = _block_cells(domain, domain)",
+           ("tests/test_classify.py::TestBlockScanDifferential",)),
+    Mutant("counterexample from the first clashing column", "src/polyfract/classify.py",
+           "first = j if first is None else min(first, j)",
+           "first = j if first is None else first",
+           ("tests/test_classify.py::TestBlockScanDifferential",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
            "col = _difference(col, r, f.domain_moduli, var, 1)",

@@ -257,6 +257,12 @@ class TestTaylor:
         with pytest.raises(ValueError, match=r"^degree bound 2\.5 is not an integer$"):
             taylor_expand(f, 2.5)
 
+    def test_negative_degree_rejected(self):
+        for f, d in ((FiniteFn.univariate(3, 9, [1, 0, 0]), -3),
+                     (FiniteFn.univariate(3, 9, [0, 0, 0]), -7)):
+            with pytest.raises(ValueError, match=rf"^degree bound must be >= 0, got {d}$"):
+                taylor_expand(f, d)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_on_periodic_polyfracts(self, data):
@@ -287,6 +293,13 @@ class TestTaylor:
         f = FiniteFn.from_callable((2, 2), (4,), lambda x: (x[0] + 2 * x[1],))
         with pytest.raises(ValueError, match=r"^degree bound 1\.0 is not an integer$"):
             taylor_expand_multi(f, (1, 1.0))
+
+    def test_multivariate_negative_bound_rejected(self):
+        f = FiniteFn.from_callable((2, 2), (4,), lambda x: (x[0] + 2 * x[1],))
+        zero = FiniteFn.from_callable((2, 2), (4,), lambda x: (0,))
+        for g, bounds in ((f, (1, -3)), (zero, (-1, -1))):
+            with pytest.raises(ValueError, match=r"^degree bound must be >= 0, got -\d$"):
+                taylor_expand_multi(g, bounds)
 
 
 class TestMapDegree:
@@ -336,6 +349,10 @@ class TestHrycaj:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_top_monofract_not_periodic(self, q):
         assert not hrycaj_periodicity(UniPolyfract.monofract(q, q), q)
+
+    def test_non_integer_period_rejected(self):
+        with pytest.raises(ValueError, match=r"^period '3' is not an integer$"):
+            hrycaj_periodicity(UniPolyfract.constant(3, 7), "3")
 
     def test_constants(self):
         assert hrycaj_periodicity(UniPolyfract.constant(3, 7), 4)
@@ -392,6 +409,11 @@ class TestDivisibility:
         assert divisibility_check(f, 1, "single")
         with pytest.raises(PreconditionFailed):
             divisibility_check(FiniteFn.univariate(4, 0, [1, 0, 0, 0]), 1, "single")
+
+    def test_non_integer_beta_rejected(self):
+        f = FiniteFn.univariate(4, 0, [5, 0, 3, 2])
+        with pytest.raises(ValueError, match=r"^beta 1\.5 is not an integer$"):
+            divisibility_check(f, 1.5)
 
     def test_domain_and_codomain_guards(self):
         with pytest.raises(BadDomain):

@@ -456,6 +456,36 @@ class TestOracleDifferential:
 
 
 class TestBlockScanDifferential:
+    @staticmethod
+    def _pinned(f):
+        """The block test's verdict, checked against the reference scan."""
+        expected = ref_block_scan(f)
+        result = is_polyfractal(f)
+        assert result.polyfractal == (expected is None)
+        if expected is not None:
+            assert result.counterexample == Counterexample(*expected)
+        return result
+
+    def test_earliest_clash_in_a_later_column(self):
+        # prime 2 on Z_6: the Z_2 column first clashes at x = 5, the Z_4
+        # column already at x = 3
+        f = FiniteFn((6,), (2, 4), columns=([0, 1, 0, 1, 0, 0], [0, 1, 0, 3, 0, 1]))
+        assert self._pinned(f).counterexample == Counterexample(2, (1,), (3,))
+
+    def test_prime_with_whole_domain_parts_skipped(self):
+        # the 2-parts of Z_4 are Z_4 itself, so only prime 3 can clash
+        assert self._pinned(FiniteFn.univariate(4, 12, [1, 4, 7, 10])).polyfractal
+        assert self._pinned(FiniteFn.univariate(4, 12, [0, 4, 8, 1])).counterexample \
+            == Counterexample(3, (0,), (1,))
+
+    def test_domain_factor_of_one(self):
+        domain, codomain = (2, 1, 3), (6,)
+        rows = block_built_rows(domain, codomain, random.Random(0))
+        assert self._pinned(FiniteFn(domain, codomain, rows)).polyfractal
+        rows[4] = ((rows[4][0] + 3) % 6,)  # the point (1, 0, 1) leaves its 2-block
+        assert self._pinned(FiniteFn(domain, codomain, rows)).counterexample \
+            == Counterexample(2, (1, 0, 0), (1, 0, 1))
+
     @settings(max_examples=150, deadline=None)
     @given(mixed_tables())
     def test_scan_and_construction_match_reference(self, f):

@@ -11,7 +11,8 @@ every polyfract ``interpolate_prime_power`` returns, must be one the
 checked constructor would build from the same data; the constructor's
 reduction must match the per-cell ``canonical``, and a table built from
 rows must equal, hash like and be rejected like the one built from the
-same columns.  ``delta_power`` must match iterated ``ref_apply_diff``,
+same columns; ``value`` and ``residues`` must agree with the row view
+without building it.  ``delta_power`` must match iterated ``ref_apply_diff``,
 ``value_sum`` and ``taylor_expand_multi`` the row references
 ``helpers.ref_value_sum`` and ``helpers.ref_taylor_terms``,
 ``UniPolyfract.values`` (prefix sums) the per-point ``evaluate``, and the
@@ -239,6 +240,26 @@ class TestColumnFormat:
             assert rejection == (ValueError, f"table value {first!r} is not an integer")
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(format_tables(), st.data())
+    def test_lookups_read_the_columns(self, table, data):
+        domain, codomain, rows = table
+        x = data.draw(st.tuples(*(st.integers(-2 * q, 2 * q) for q in domain)))
+        for lookup in (FiniteFn.value, FiniteFn.residues):
+            f = FiniteFn(domain, codomain, rows)
+            got = lookup(f, x)
+            assert "values" not in f.__dict__
+            row = f.values[f.index(x)]
+            assert got == (row if lookup is FiniteFn.value
+                           else tuple(map(Residue, row, codomain)))
+
+    def test_lookups_on_width_zero(self):
+        f = FiniteFn((3, 2), (), [()] * 6)
+        assert f.value((2, 1)) == () and f.residues((2, 1)) == ()
+        assert "values" not in f.__dict__
+        assert f.values[f.index((2, 1))] == ()
+
+
 class TestApplyDiff:
     @settings(max_examples=150, deadline=None)
     @given(mixed_tables(), st.data())
@@ -317,13 +338,22 @@ class TestTableValues:
         assert UniPolyfract.zero(7).values(-2, 1) == [0, 0, 0]
 
 
+def _check_oracle_tables(q, r):
+    default = periodic_degree_bound(q, r)
+    # a larger and a smaller override where the search stays small
+    for bound in {default, default + 1, max(default - 1, 0)}:
+        if r ** (bound + 1) <= 4096:
+            assert _representable_tables(q, r, bound) == \
+                ref_representable_tables(q, r, bound)
+
+
 class TestOracleEnumeration:
     @pytest.mark.parametrize("q", range(1, 6))
     @pytest.mark.parametrize("r", range(1, 6))
     def test_matches_per_point_enumeration(self, q, r):
-        default = periodic_degree_bound(q, r)
-        # a larger and a smaller override where the search stays small
-        for bound in {default, default + 1, max(default - 1, 0)}:
-            if r ** (bound + 1) <= 4096:
-                assert _representable_tables(q, r, bound) == \
-                    ref_representable_tables(q, r, bound)
+        _check_oracle_tables(q, r)
+
+    @pytest.mark.parametrize("q", (6, 10, 12))
+    @pytest.mark.parametrize("r", (4, 6))
+    def test_composite_moduli(self, q, r):
+        _check_oracle_tables(q, r)
