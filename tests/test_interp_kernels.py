@@ -239,19 +239,16 @@ class TestColumnFormat:
             first = next(v for row in rows for v in row if type(v) not in (int, bool))
             assert rejection == (ValueError, f"table value {first!r} is not an integer")
 
-
     @settings(max_examples=100, deadline=None)
     @given(format_tables(), st.data())
     def test_lookups_read_the_columns(self, table, data):
         domain, codomain, rows = table
         x = data.draw(st.tuples(*(st.integers(-2 * q, 2 * q) for q in domain)))
-        for lookup in (FiniteFn.value, FiniteFn.residues):
-            f = FiniteFn(domain, codomain, rows)
-            got = lookup(f, x)
-            assert "values" not in f.__dict__
-            row = f.values[f.index(x)]
-            assert got == (row if lookup is FiniteFn.value
-                           else tuple(map(Residue, row, codomain)))
+        f, g = FiniteFn(domain, codomain, rows), FiniteFn(domain, codomain, rows)
+        got = f.value(x), g.residues(x)
+        assert "values" not in f.__dict__ and "values" not in g.__dict__
+        row = f.values[f.index(x)]
+        assert got == (row, tuple(map(Residue, row, codomain)))
 
     def test_lookups_on_width_zero(self):
         f = FiniteFn((3, 2), (), [()] * 6)
