@@ -9,7 +9,7 @@ q-periodic function is again q-periodic by construction.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import prod
 from operator import index, sub
@@ -320,11 +320,15 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     return MultiPolyfract(f.codomain_moduli, f.nvars, tuple(terms.items()))
 
 
+@lru_cache(maxsize=256, typed=True)
 def periodic_degree_bound(q: int, r: int) -> int:
     """Largest possible degree of a q-periodic polyfract into Z_r.
 
     Blockwise: for each prime p dividing both q and r the prime-power
     degree bound applies, primes dividing only one side force constants.
+    Cached, since the oracle and the interpolation weights ask for the
+    same few (q, r) on every table; ``typed``, so 2.0 cannot hit the
+    entry of 2.
     """
     if r <= 1:
         return 0

@@ -139,13 +139,17 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
 
 
 def counterexample_is_valid(f: FiniteFn, ce: Counterexample) -> bool:
-    """Check a counterexample against the table it came from."""
+    """Check a counterexample against the table it came from: the two
+    points agree mod each domain p-part and their values differ mod some
+    codomain p-part.  Coordinates wrap through the periodicity."""
     dom, cod = _splits(f)
     if ce.prime not in dom.primes or not len(ce.first) == len(ce.second) == f.nvars:
         return False
     i = dom.primes.index(ce.prime)
-    return (dom.block(i, ce.first) == dom.block(i, ce.second)
-            and cod.block(i, f.value(ce.first)) != cod.block(i, f.value(ce.second)))
+    if any((a - b) % m for a, b, m in zip(ce.first, ce.second, dom.parts[i])):
+        return False
+    j, k = f.index(ce.first), f.index(ce.second)
+    return any((col[j] - col[k]) % m for col, m in zip(f.columns, cod.parts[i]))
 
 
 def represent(f: FiniteFn) -> Witness:

@@ -17,6 +17,7 @@ __all__ = [
     "Residue",
     "as_integer",
     "binom",
+    "check_modulus",
     "mod_project",
     "padic_valuation",
     "is_prime",
@@ -36,6 +37,12 @@ def as_integer(value, what: str, error: type[Exception] = ValueError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{what} {value!r} is not an integer") from None
+
+
+def check_modulus(modulus) -> None:
+    """Reject a modulus that is not an integer >= 0."""
+    if as_integer(modulus, "modulus") < 0:
+        raise ValueError("modulus must be >= 0")
 
 
 def binom(n: int, k: int) -> int:
@@ -85,10 +92,19 @@ class Residue:
     modulus: int
 
     def __post_init__(self):
-        if as_integer(self.modulus, "modulus") < 0:
-            raise ValueError("modulus must be >= 0")
+        check_modulus(self.modulus)
         value = as_integer(self.value, "value")
         object.__setattr__(self, "value", canonical(value, self.modulus))
+
+    @classmethod
+    def _trusted(cls, value: int, modulus: int) -> "Residue":
+        """Build without ``__post_init__``.  The caller guarantees an int
+        value and an int modulus >= 0; the value is reduced here, once.
+        The fields go straight into the instance dict, which the frozen
+        ``__setattr__`` only guards."""
+        x = object.__new__(cls)
+        x.__dict__.update(value=value % modulus if modulus else value, modulus=modulus)
+        return x
 
     def _check(self, other: "Residue") -> None:
         if self.modulus != other.modulus:

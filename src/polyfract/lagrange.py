@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
-from .exactnum import Residue, binom, factorization, is_prime
+from .exactnum import Residue, binom, check_modulus, factorization, is_prime
 from .multi import MultiPolyfract
 from .uni import UniPolyfract, table_values
 
@@ -33,7 +33,9 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
 
     Sums (-1)^xh * C(d, xh) over all xh congruent to x mod q with
     0 <= xh <= d (at most floor(d/q) + 1 terms) and reduces mod r; the
-    sign uses the actual integer representative xh.
+    sign uses the actual integer representative xh.  The modulus is
+    checked after the sum, so a bad d or q is reported first, and the
+    result is built reduced once.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -45,16 +47,22 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
             total -= binom(d, xh)
         else:
             total += binom(d, xh)
-    return Residue(total, r)
+    check_modulus(r)
+    return Residue._trusted(total, r)
 
 
 @lru_cache(maxsize=64)
 def _weights(q: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The interpolation weights (delta | delta - x)_{q,r} for 0 <= delta <= d
     and 0 <= x < q, d the q-periodic degree bound mod r, one row per delta.
-    Tuples, because every interpolation on the same (q, r) shares them."""
+
+    Row delta stores only its prefix x <= min(delta, q - 1): for delta < q
+    and x > delta the class of delta - x mod q has no representative in
+    0..delta, so the weight is 0.  Tuples, because every interpolation on
+    the same (q, r) shares them."""
     d = periodic_degree_bound(q, r)
-    return tuple(tuple(cofract(delta, q, r, delta - x).value for x in range(q))
+    return tuple(tuple(cofract(delta, q, r, delta - x).value
+                       for x in range(min(delta, q - 1) + 1))
                  for delta in range(d + 1))
 
 
@@ -128,7 +136,8 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     # The weight prod_j (delta_j | delta_j - x_j) is a tensor product, so
     # the value table is contracted against one axis table at a time.  Each
     # step sums away the last remaining x axis and puts its delta axis in
-    # front; after all n steps the flat list is in delta order.
+    # front; after all n steps the flat list is in delta order.  A short
+    # weight row ends the products early: its missing weights are 0.
     tables = {q: _weights(q, r) for q in set(f.domain_moduli)}
     flat = f.columns[0]
     for q in reversed(f.domain_moduli):

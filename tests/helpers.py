@@ -260,9 +260,11 @@ def ref_merge(terms, width):
 
 def ref_cofract(d, q, r, x):
     """The co-monofract (d | x)_{q,r} from its definition: the sum of
-    (-1)^xh * C(d, xh) over 0 <= xh <= d with xh = x (mod q), mod r."""
-    return sum((-1) ** xh * math.comb(d, xh)
-               for xh in range(d + 1) if (xh - x) % q == 0) % r
+    (-1)^xh * C(d, xh) over 0 <= xh <= d with xh = x (mod q), mod r
+    (r = 0 is Z: the sum itself)."""
+    total = sum((-1) ** xh * math.comb(d, xh)
+                for xh in range(d + 1) if (xh - x) % q == 0)
+    return total % r if r else total
 
 
 def ref_interpolate_prime_power(f):

@@ -57,6 +57,15 @@ MUTANTS = (
            "for k in range(bound + 1)]",
            "for k in range(bound)]",
            (KERNELS + "TestOracleEnumeration",)),
+    # the interpolation weights
+    Mutant("weight row one entry short", "src/polyfract/lagrange.py",
+           "for x in range(min(delta, q - 1) + 1))",
+           "for x in range(min(delta - 1, q - 1) + 1))",
+           (KERNELS + "TestInterpolation",)),
+    Mutant("cofract reduction dropped", "src/polyfract/exactnum.py",
+           "value=value % modulus if modulus else value",
+           "value=value",
+           (KERNELS + "TestCofract",)),
     # the block test
     Mutant("block point by the full modulus", "src/polyfract/classify.py",
            "cells = _block_cells(domain, in_parts)",

@@ -2,7 +2,10 @@
 whole-table evaluation against their references.
 
 ``exactnum.binom`` must match the falling-factorial formula, ``cofract``
-its definition over ``math.comb`` (``helpers.ref_cofract``),
+its definition over ``math.comb`` (``helpers.ref_cofract``) and reject
+each bad argument with a fixed exception and message, each weight row of
+``lagrange._weights`` the same definition once padded with the zeros it
+leaves out,
 ``interpolate_prime_power`` the per-coefficient co-monofract sum
 (``helpers.ref_interpolate_prime_power``) and ``apply_diff`` the per-cell
 difference rebuilt through ``FiniteFn``'s constructor
@@ -22,7 +25,7 @@ brute-force oracle's enumeration the per-point
 from math import prod
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from polyfract import (
     DiffOp,
@@ -43,6 +46,7 @@ from polyfract.calculus import periodic_degree_bound
 from polyfract.classify import _representable_tables
 from polyfract.errors import PreconditionFailed
 from polyfract.exactnum import canonical
+from polyfract.lagrange import _weights
 
 from helpers import (
     binom_any,
@@ -70,10 +74,67 @@ class TestBinom:
 
 
 class TestCofract:
-    @given(st.integers(0, 60), st.integers(1, 9), st.integers(1, 30),
-           st.integers(-20, 20))
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 16), st.integers(0, 30),
+           st.integers(-40, 40))
+    @example(200, 16, 0, -40)  # Z: the unreduced sum
+    @example(37, 3, 1, 5)  # the trivial group
     def test_matches_definition(self, d, q, r, x):
-        assert cofract(d, q, r, x).value == ref_cofract(d, q, r, x)
+        got = cofract(d, q, r, x)
+        v = ref_cofract(d, q, r, x)
+        assert (got.value, got.modulus) == (v, r)
+        assert type(got.value) is int
+        assert got == Residue(v, r)
+        assert hash(got) == hash(Residue(v, r))
+
+    # The exception each bad argument raises, and which one wins when two
+    # arguments are bad: d and q are checked first, then the sum runs,
+    # then the modulus is checked as Residue checks it.
+    FLOAT = (TypeError, "'float' object cannot be interpreted as an integer")
+
+    @pytest.mark.parametrize("args, expected", [
+        ((-1, 2, 4, 0), (ValueError, "d must be >= 0")),
+        ((-5, 3, 9, 1), (ValueError, "d must be >= 0")),
+        ((2.0, 2, 4, 0), FLOAT),
+        ((2.5, 2, 4, 0), FLOAT),
+        ((3, 0, 4, 0), (ValueError, "q must be >= 1")),
+        ((3, -2, 4, 0), (ValueError, "q must be >= 1")),
+        ((3, 2.0, 4, 0), FLOAT),
+        ((3, 2.5, 4, 0), FLOAT),
+        ((3, 2, -1, 0), (ValueError, "modulus must be >= 0")),
+        ((3, 2, -4, 1), (ValueError, "modulus must be >= 0")),
+        ((3, 2, 2.0, 0), (ValueError, "modulus 2.0 is not an integer")),
+        ((3, 2, 2.5, 1), (ValueError, "modulus 2.5 is not an integer")),
+        ((3, 2, "4", 0), (ValueError, "modulus '4' is not an integer")),
+        ((3, 2, 4, 1.0), FLOAT),
+        ((3, 2, 4, 0.5), FLOAT),
+        ((-3, 0, -1, 0), (ValueError, "q must be >= 1")),
+        ((-1, 2, -1, 0), (ValueError, "d must be >= 0")),
+        ((2.0, 2, -1, 0), FLOAT),
+        ((3, 2, -1, 0.5), FLOAT),
+    ])
+    def test_rejections(self, args, expected):
+        with pytest.raises(Exception) as info:
+            cofract(*args)
+        assert (type(info.value), str(info.value)) == expected
+
+
+# (q, prime of q): q = 1 is paired with the prime 2.
+WEIGHT_DOMAINS = ((1, 2), (2, 2), (4, 2), (8, 2), (16, 2), (3, 3), (9, 3), (27, 3),
+                  (5, 5), (25, 5))
+
+
+class TestWeights:
+    @pytest.mark.parametrize("q, p", WEIGHT_DOMAINS)
+    @pytest.mark.parametrize("beta", (1, 2, 3))
+    def test_rows_are_the_nonzero_prefixes(self, q, p, beta):
+        r = p**beta
+        rows = _weights(q, r)
+        assert len(rows) == periodic_degree_bound(q, r) + 1
+        for delta, row in enumerate(rows):
+            assert type(row) is tuple and len(row) == min(delta, q - 1) + 1
+            padded = row + (0,) * (q - len(row))
+            assert padded == tuple(ref_cofract(delta, q, r, delta - x) for x in range(q))
 
 
 # Largest alpha per (prime, number of variables), so the reference's
