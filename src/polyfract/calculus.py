@@ -23,7 +23,7 @@ from .errors import (
     NotAnnihilated,
     PreconditionFailed,
 )
-from .exactnum import Residue, as_integer, binom, canonical, factorization
+from .exactnum import Residue, as_integer, binom, canonical, check_modulus, factorization
 from .multi import MultiPolyfract
 from .uni import UniPolyfract
 
@@ -219,12 +219,6 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     """Apply a difference operator to each codomain column; indices wrap
     mod q_var.  A shift only rotates the column; the differences run
     ``_difference``, the step ``delta_power`` repeats.
-
-    ``taylor_expand``, ``taylor_expand_multi`` and ``map_degree`` step
-    through this function rather than ``delta_power`` because the
-    benchmark's traced run requires ``calculus.apply_diff`` to fire on
-    interp and certify until its span map follows the kernels (ROADMAP
-    item 1).
     """
     var = _check_var(f, op.var)
     domain = f.domain_moduli
@@ -236,6 +230,23 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
         columns = tuple([_difference(col, r, domain, var, step)
                          for col, r in zip(f.columns, f.codomain_moduli)])
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
+
+
+def _deltas(f: FiniteFn, var: int, steps: int) -> Iterator[FiniteFn]:
+    """f, delta f, ..., delta^steps f along one variable: the one
+    difference walk behind ``taylor_expand``, ``taylor_expand_multi`` and
+    ``map_degree``, one ``apply_diff`` per step and no zero test.
+
+    It steps through ``apply_diff`` rather than ``delta_power`` because
+    the benchmark's traced run requires ``calculus.apply_diff`` to fire on
+    interp and certify until its span map follows the kernels (ROADMAP
+    item 1).
+    """
+    op = DiffOp("delta", var)
+    yield f
+    for _ in range(steps):
+        f = apply_diff(op, f)
+        yield f
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
@@ -272,12 +283,10 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
         raise BadDomain("taylor_expand needs a one-variable table")
     if len(f.codomain_moduli) != 1:
         raise BadCodomain("taylor_expand needs a single codomain factor")
-    op = DiffOp("delta")
-    g = f
     coeffs = []
-    for _ in range(d + 1):
+    for g in _deltas(f, 0, d + 1):
         coeffs.append(g.columns[0][0])
-        g = apply_diff(op, g)
+    coeffs.pop()  # g is delta^(d+1) f, which must vanish
     if not g.is_zero():
         raise PreconditionFailed(
             f"difference power {d + 1} does not annihilate the table"
@@ -299,22 +308,23 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     for d in bounds:
         if d < 0:
             raise ValueError(f"degree bound must be >= 0, got {d}")
-    for var, d in enumerate(bounds):
-        if not delta_power(f, d + 1, var).is_zero():
-            raise PreconditionFailed(
-                f"difference power {d + 1} does not annihilate variable {var}"
-            )
     terms = {}
 
     def collect(table: FiniteFn, var: int, exp: tuple[int, ...]) -> None:
+        """Depth first: along the path of zero exponents ``table`` is f
+        itself, so its walk reaches delta_var^(d+1) f, the precondition;
+        elsewhere the walk stops at delta^d."""
         if var == len(bounds):
             terms[exp] = tuple(col[0] for col in table.columns)
             return
-        g = table
-        op = DiffOp("delta", var)
-        for d in range(bounds[var] + 1):
-            collect(g, var + 1, exp + (d,))
-            g = apply_diff(op, g)
+        d, on_f = bounds[var], not any(exp)
+        tables = list(_deltas(table, var, d + 1 if on_f else d))
+        if on_f and not tables.pop().is_zero():
+            raise PreconditionFailed(
+                f"difference power {d + 1} does not annihilate variable {var}"
+            )
+        for k, g in enumerate(tables):
+            collect(g, var + 1, exp + (k,))
 
     collect(f, 0, ())
     return MultiPolyfract(f.codomain_moduli, f.nvars, tuple(terms.items()))
@@ -328,17 +338,18 @@ def periodic_degree_bound(q: int, r: int) -> int:
     degree bound applies, primes dividing only one side force constants.
     Cached, since the oracle and the interpolation weights ask for the
     same few (q, r) on every table; ``typed``, so 2.0 cannot hit the
-    entry of 2.
+    entry of 2.  A period that is not an integer >= 1 or a modulus that
+    is not an integer >= 0 raises ValueError.
     """
+    if as_integer(q, "period") < 1:
+        raise ValueError("period must be >= 1")
+    check_modulus(r)
     if r <= 1:
         return 0
+    alphas = dict(factorization(q))
     best = 0
     for p, beta in factorization(r):
-        alpha = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            alpha += 1
+        alpha = alphas.get(p, 0)
         if alpha == 0:
             continue
         best = max(best, p**alpha - 1 + (beta - 1) * (p - 1) * p ** (alpha - 1))
@@ -357,12 +368,9 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     bound = max(
         (periodic_degree_bound(q, r) for r in f.codomain_moduli), default=0
     )
-    op = DiffOp("delta", var)
-    g = f
-    for applied in range(bound + 2):
+    for applied, g in enumerate(_deltas(f, var, bound + 1)):
         if g.is_zero():
             return applied - 1 if applied else None
-        g = apply_diff(op, g)
     raise NotAnnihilated(
         f"no difference power up to {bound + 1} annihilates variable {var}"
     )

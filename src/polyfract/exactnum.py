@@ -26,7 +26,6 @@ __all__ = [
     "canonical",
     "balanced_lift",
     "factorization",
-    "xgcd",
 ]
 
 
@@ -207,18 +206,3 @@ def prime_part(n: int, p: int) -> int:
         part *= p
         n //= p
     return part
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
-from .exactnum import Residue, binom, check_modulus, factorization, is_prime
+from .exactnum import Residue, as_integer, binom, check_modulus, factorization, is_prime
 from .multi import MultiPolyfract
 from .uni import UniPolyfract, table_values
 
@@ -92,9 +92,9 @@ def degree_bound(p: int, beta: int, alphas: Sequence[int]) -> int:
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if beta < 1:
+    if as_integer(beta, "beta") < 1:
         raise ValueError("beta must be >= 1")
-    alphas = tuple(alphas)
+    alphas = tuple(as_integer(a, "alpha") for a in alphas)
     if not alphas:
         return 0
     if any(a < 1 for a in alphas):

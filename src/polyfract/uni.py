@@ -30,10 +30,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import factorial, lcm, prod
+from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
-from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
+from .exactnum import Residue, as_integer, balanced_lift, canonical
 
 __all__ = [
     "RationalPoly",
@@ -273,6 +274,8 @@ class UniPolyfract:
     @classmethod
     def monofract(cls, delta: int, modulus: int) -> "UniPolyfract":
         """The basis element C(X, delta) over Z_r."""
+        if as_integer(delta, "delta") < 0:
+            raise ValueError("delta must be >= 0")
         return cls(modulus, (0,) * delta + (1,))
 
     @classmethod
@@ -368,9 +371,9 @@ class UniPolyfract:
 def coeffs_from_values(values: Sequence[Residue]) -> tuple[Residue, ...]:
     """Binomial-basis coefficients from consecutive values f(0..m).
 
-    Implements the alternating difference sums
-    P_d = sum_i (-1)^(d-i) C(d, i) f(i); the inverse of evaluation at
-    0..m for polyfracts of degree <= m.
+    The difference triangle of the values: P_d = Delta^d f(0) is the
+    first entry of row d, and row d+1 holds the differences of row d.
+    The inverse of evaluation at 0..m for polyfracts of degree <= m.
     """
     if not values:
         return ()
@@ -379,9 +382,8 @@ def coeffs_from_values(values: Sequence[Residue]) -> tuple[Residue, ...]:
         if v.modulus != modulus:
             raise ModulusMismatch("values do not share a modulus")
     out = []
-    for d in range(len(values)):
-        acc = sum(
-            (-1) ** (d - i) * binom(d, i) * values[i].value for i in range(d + 1)
-        )
-        out.append(Residue(acc, modulus))
+    row = [v.value for v in values]
+    while row:
+        out.append(Residue(row[0], modulus))
+        row = list(map(sub, row[1:], row[:-1]))
     return tuple(out)

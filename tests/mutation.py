@@ -75,6 +75,15 @@ MUTANTS = (
            "first = j if first is None else min(first, j)",
            "first = j if first is None else first",
            ("tests/test_classify.py::TestBlockScanDifferential",)),
+    # the difference walk and the difference triangle
+    Mutant("walk stops one step early", CALCULUS,
+           "for _ in range(steps):",
+           "for _ in range(steps - 1):",
+           ("tests/test_calculus.py::TestTaylor",)),
+    Mutant("triangle reads the wrong end of its row", "src/polyfract/uni.py",
+           "out.append(Residue(row[0], modulus))",
+           "out.append(Residue(row[-1], modulus))",
+           ("tests/test_uni.py::TestCoeffsFromValues",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
            "col = _difference(col, r, f.domain_moduli, var, 1)",

@@ -275,6 +275,25 @@ class TestTaylor:
         p = taylor_expand(f, bound)
         assert p.values(0, q) == table
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_bound_from_the_degree_up(self, data):
+        # on prime-power tables every bound from the map's degree up to the
+        # periodic bound gives the same expansion; one below it fails
+        p = data.draw(st.sampled_from((2, 3)))
+        q = p ** data.draw(st.integers(1, 2))
+        r = p ** data.draw(st.integers(1, 2))
+        f = FiniteFn.univariate(q, r, data.draw(
+            st.lists(st.integers(0, r - 1), min_size=q, max_size=q)))
+        degree = map_degree(f)
+        expected = taylor_expand(f, degree or 0)
+        assert expected.degree == degree
+        for d in range(degree or 0, periodic_degree_bound(q, r) + 1):
+            assert taylor_expand(f, d) == expected
+        if degree:
+            with pytest.raises(PreconditionFailed, match=rf"^difference power {degree} "):
+                taylor_expand(f, degree - 1)
+
     def test_multivariate(self):
         f = FiniteFn.from_callable(
             (2, 2), (2,), lambda x: (1 if x == (0, 0) else 0,)
@@ -288,6 +307,14 @@ class TestTaylor:
         f = FiniteFn.from_callable((2, 2), (4,), lambda x: (x[0] + 2 * x[1],))
         with pytest.raises(PreconditionFailed):
             taylor_expand_multi(f, (0, 0))
+        # the lowest failing variable is named: both fail at (0, 0), only
+        # variable 1 at (2, 0), since delta_1 f = 2 but delta_0^3 f = 0
+        for bounds, message in (((0, 0), "difference power 1 does not annihilate variable 0"),
+                                ((2, 0), "difference power 1 does not annihilate variable 1"),
+                                ((1, 1), "difference power 2 does not annihilate variable 0")):
+            with pytest.raises(PreconditionFailed, match=rf"^{message}$"):
+                taylor_expand_multi(f, bounds)
+        assert taylor_expand_multi(f, (2, 1)).evaluate((1, 1)) == (Residue(3, 4),)
 
     def test_multivariate_non_integer_bound_rejected(self):
         f = FiniteFn.from_callable((2, 2), (4,), lambda x: (x[0] + 2 * x[1],))
@@ -325,6 +352,15 @@ class TestMapDegree:
         f = FiniteFn.univariate(3, 2, [0, 1, 0])
         with pytest.raises(NotAnnihilated):
             map_degree(f)
+        # the message names the last power tried, the bound plus one
+        cases = ((f, 0, "no difference power up to 1 annihilates variable 0"),
+                 (FiniteFn.univariate(6, 4, [0, 1, 0, 0, 0, 0]), 0,
+                  "no difference power up to 3 annihilates variable 0"),
+                 (FiniteFn.from_callable((2, 3), (3, 2), lambda x: (x[0], x[1] == 1)), 1,
+                  "no difference power up to 3 annihilates variable 1"))
+        for g, var, message in cases:
+            with pytest.raises(NotAnnihilated, match=rf"^{message}$"):
+                map_degree(g, var)
 
     def test_non_integer_variable_rejected(self):
         f = FiniteFn.univariate(4, 4, [0, 1, 2, 3])
@@ -431,3 +467,17 @@ class TestPeriodicDegreeBound:
         assert periodic_degree_bound(6, 6) == 2
         assert periodic_degree_bound(7, 1) == 0
         assert periodic_degree_bound(7, 0) == 0
+        assert periodic_degree_bound(1, 8) == 0
+
+    @pytest.mark.parametrize("q, r, message", [
+        (0, 4, "period must be >= 1"),
+        (0, 1, "period must be >= 1"),
+        (-4, 8, "period must be >= 1"),
+        (4.0, 8, r"period 4\.0 is not an integer"),
+        (2.5, 4, r"period 2\.5 is not an integer"),
+        (4, -8, "modulus must be >= 0"),
+        (4, 8.0, r"modulus 8\.0 is not an integer"),
+    ])
+    def test_bad_arguments_rejected(self, q, r, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            periodic_degree_bound(q, r)

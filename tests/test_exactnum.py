@@ -15,7 +15,7 @@ from polyfract import (
     prime_part,
 )
 from polyfract.errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
-from polyfract.exactnum import factorization, xgcd
+from polyfract.exactnum import factorization
 from polyfract.lagrange import cofract
 
 
@@ -191,12 +191,6 @@ class TestHelpers:
     def test_prime_part(self):
         assert prime_part(600, 2) == 8
         assert prime_part(600, 7) == 1
-
-    @given(st.integers(-40, 40), st.integers(-40, 40))
-    def test_xgcd(self, a, b):
-        g, u, v = xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert u * a + v * b == g
 
     @given(st.integers(-50, 50), st.integers(1, 20))
     def test_balanced_lift(self, v, r):

@@ -189,6 +189,13 @@ class TestDegreeBound:
         with pytest.raises(NotPrime):
             degree_bound(6, 1, [1])
 
+    def test_non_integer_exponents_rejected(self):
+        for beta, alphas, message in ((1.5, [1], r"beta 1\.5 is not an integer"),
+                                      (2, [1, 2.0], r"alpha 2\.0 is not an integer"),
+                                      (2.0, [], r"beta 2\.0 is not an integer")):
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                degree_bound(2, beta, alphas)
+
     def test_empty_variable_list(self):
         assert degree_bound(2, 2, []) == 0
 

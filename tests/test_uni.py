@@ -46,6 +46,13 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="coefficient 2.5 is not an integer"):
             UniPolyfract(7, (2.5,))
 
+    def test_bad_monofract_index_rejected(self):
+        for delta, message in ((-2, "delta must be >= 0"), (-1, "delta must be >= 0"),
+                               (2.0, r"delta 2\.0 is not an integer")):
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                UniPolyfract.monofract(delta, 5)
+        assert UniPolyfract.monofract(0, 5).coeffs == (1,)
+
 
 class TestEvaluation:
     def test_indicator_values(self):
