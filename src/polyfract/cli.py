@@ -364,69 +364,70 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="polyfract",
-        description="Decide and construct polynomial representations of maps "
-                    "between finite commutative groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_basis(p) -> None:
+    p.add_argument("--basis", choices=("binomial", "monomial"),
+                   default="binomial", help="output basis")
 
-    def add_basis(p):
-        p.add_argument("--basis", choices=("binomial", "monomial"),
-                       default="binomial", help="output basis")
 
-    p = sub.add_parser("classify", help="decide polyfractality of a map")
+def _classify_args(p) -> None:
     p.add_argument("problem", help="problem file path ('-' for stdin)")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("represent", help="construct a representing polynomial")
+
+def _represent_args(p) -> None:
     p.add_argument("problem")
     p.add_argument("--merge", action="store_true",
                    help="merge into one variable (cyclic domain and codomain)")
-    add_basis(p)
+    _add_basis(p)
     p.set_defaults(func=_cmd_represent)
 
-    p = sub.add_parser("interp", help="prime-power interpolation of a table")
+
+def _interp_args(p) -> None:
     p.add_argument("problem")
-    add_basis(p)
+    _add_basis(p)
     p.set_defaults(func=_cmd_interp)
 
-    p = sub.add_parser("eval", help="evaluate a polynomial file at a point")
+
+def _eval_args(p) -> None:
     p.add_argument("polynomial")
     p.add_argument("--at", required=True, help="comma-separated coordinates")
     p.add_argument("--modulus", type=_int_at_least(0),
                    help="project a single-component result to this modulus")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("lagrange", help="point-indicator polyfract on Z_{p^alpha}")
+
+def _lagrange_args(p) -> None:
     p.add_argument("p", type=int)
     p.add_argument("alpha", type=_int_at_least(1))
     p.add_argument("beta", type=_int_at_least(1))
     p.add_argument("x0", type=int)
-    add_basis(p)
+    _add_basis(p)
     p.set_defaults(func=_cmd_lagrange)
 
-    p = sub.add_parser("cofract", help="one co-monofract value (d|x)_{q,r}")
+
+def _cofract_args(p) -> None:
     p.add_argument("d", type=_int_at_least(0))
     p.add_argument("q", type=_int_at_least(1))
     p.add_argument("r", type=_int_at_least(0))
     p.add_argument("x", type=int)
     p.set_defaults(func=_cmd_cofract)
 
-    p = sub.add_parser("taylor", help="difference expansion of a cyclic table")
+
+def _taylor_args(p) -> None:
     p.add_argument("problem")
     p.add_argument("--degree", type=_int_at_least(0),
                    help="expansion degree (default: the map degree)")
-    add_basis(p)
+    _add_basis(p)
     p.set_defaults(func=_cmd_taylor)
 
-    p = sub.add_parser("count", help="number of polyfractal maps A -> B")
+
+def _count_args(p) -> None:
     p.add_argument("--domain", required=True, help="comma-separated moduli")
     p.add_argument("--codomain", required=True, help="comma-separated moduli")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("certify", help="run the theorem verification sweeps")
+
+def _certify_args(p) -> None:
     p.add_argument("--max-prime", type=_int_at_least(2),
                    default=CertifyOptions.max_prime)
     p.add_argument("--max-alpha", type=_int_at_least(1),
@@ -445,11 +446,56 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the oracle degree bound (testing only)")
     p.set_defaults(func=_cmd_certify)
 
+
+# command name -> (help line, function that adds its arguments), in the
+# order the usage line lists them
+_COMMANDS = {
+    "classify": ("decide polyfractality of a map", _classify_args),
+    "represent": ("construct a representing polynomial", _represent_args),
+    "interp": ("prime-power interpolation of a table", _interp_args),
+    "eval": ("evaluate a polynomial file at a point", _eval_args),
+    "lagrange": ("point-indicator polyfract on Z_{p^alpha}", _lagrange_args),
+    "cofract": ("one co-monofract value (d|x)_{q,r}", _cofract_args),
+    "taylor": ("difference expansion of a cyclic table", _taylor_args),
+    "count": ("number of polyfractal maps A -> B", _count_args),
+    "certify": ("run the theorem verification sweeps", _certify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Given a known command name it holds only that
+    command's subparser, which is all one invocation needs; building all
+    nine costs several times as much."""
+    parser = argparse.ArgumentParser(
+        prog="polyfract",
+        description="Decide and construct polynomial representations of maps "
+                    "between finite commutative groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = (command,) if command in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse a command line with the parser of the command it names.
+
+    argparse reports unrecognized arguments from the top-level parser,
+    whose usage line lists only the commands it was built with, so
+    leftovers are parsed again by the full parser, which exits 2 with the
+    usage line that lists all nine.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extras:
+        args = build_parser().parse_args(argv)
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:

@@ -66,6 +66,18 @@ def _weights(q: int, r: int) -> tuple[tuple[int, ...], ...]:
                  for delta in range(d + 1))
 
 
+def _check_prime_power_args(p, alpha, beta) -> None:
+    """Reject a p that is not a prime or an alpha or beta that is not an
+    integer >= 1; the types are checked first, so a float names its own
+    argument rather than failing later in q = p**alpha."""
+    for value, what in ((p, "p"), (alpha, "alpha"), (beta, "beta")):
+        as_integer(value, what)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be >= 1")
+
+
 def lagrange_polyfract(p: int, alpha: int, beta: int, x0: int) -> UniPolyfract:
     """Polyfractal expansion of the indicator of x0 on Z_{p^alpha}, mod p^beta.
 
@@ -73,10 +85,8 @@ def lagrange_polyfract(p: int, alpha: int, beta: int, x0: int) -> UniPolyfract:
     degree d = p^alpha - 1 + (beta-1)(p-1)p^(alpha-1); the induced map is
     the p^alpha-periodic point indicator.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be >= 1")
+    _check_prime_power_args(p, alpha, beta)
+    x0 = as_integer(x0, "x0")
     q = p**alpha
     r = p**beta
     d = periodic_degree_bound(q, r)
@@ -90,7 +100,7 @@ def degree_bound(p: int, beta: int, alphas: Sequence[int]) -> int:
 
         sum_j p^aj - n + (beta - 1)(p - 1) p^(a_max - 1).
     """
-    if not is_prime(p):
+    if not is_prime(as_integer(p, "p")):
         raise NotPrime(f"{p} is not prime")
     if as_integer(beta, "beta") < 1:
         raise ValueError("beta must be >= 1")
@@ -159,10 +169,7 @@ def extend_information_coeffs(info: Sequence[int], p: int, alpha: int,
     those values appends the uniquely determined periodicity coefficients
     (at most (beta-1)(p-1)p^(alpha-1) of them).
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be >= 1")
+    _check_prime_power_args(p, alpha, beta)
     q = p**alpha
     r = p**beta
     info = [v % r for v in info]

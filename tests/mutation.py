@@ -118,6 +118,10 @@ MUTANTS = (
            "w = prod(codomain[k + 1:])",
            "w = prod(codomain[:k])",
            ("tests/test_cli.py::TestProblemFiles",)),
+    Mutant("leftover arguments reported by the one-command parser", "src/polyfract/cli.py",
+           "args = build_parser().parse_args(argv)",
+           "pass",
+           ("tests/test_cli.py::TestArgumentHandling",)),
     # trusted sweep tables: certify still passes, since interpolation
     # reduces mod r, and no case count moves
     Mutant("sweep hands over its modulus as a value", "src/polyfract/certify.py",

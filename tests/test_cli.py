@@ -1,4 +1,6 @@
 """File formats, command dispatch, exit codes, deterministic emission."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import polyfract
 from polyfract import FiniteFn, MultiPolyfract, UniPolyfract
 from polyfract.certify import CertifyOptions
 from polyfract.cli import (
+    _parse_args,
     build_parser,
     emit_polynomial,
     emit_problem,
@@ -481,3 +484,210 @@ class TestCommands:
         )
         assert code == 1
         assert any(line.startswith("FAIL counting") for line in out.splitlines())
+
+
+COMMANDS = ("classify", "represent", "interp", "eval", "lagrange", "cofract",
+            "taylor", "count", "certify")
+CHOICES = "{" + ",".join(COMMANDS) + "}"
+TOP_USAGE = ("usage: polyfract [-h]\n"
+             f"                 {CHOICES}\n"
+             "                 ...\n")
+BASIS_HELP = ("  --basis {binomial,monomial}\n"
+              "                        output basis\n")
+
+# --help output, which argparse wraps to the COLUMNS width; these are the
+# texts at 80 columns
+HELP = {
+    "--help": (
+        TOP_USAGE
+        + "\n"
+        "Decide and construct polynomial representations of maps between finite\n"
+        "commutative groups.\n"
+        "\n"
+        "positional arguments:\n"
+        f"  {CHOICES}\n"
+        "    classify            decide polyfractality of a map\n"
+        "    represent           construct a representing polynomial\n"
+        "    interp              prime-power interpolation of a table\n"
+        "    eval                evaluate a polynomial file at a point\n"
+        "    lagrange            point-indicator polyfract on Z_{p^alpha}\n"
+        "    cofract             one co-monofract value (d|x)_{q,r}\n"
+        "    taylor              difference expansion of a cyclic table\n"
+        "    count               number of polyfractal maps A -> B\n"
+        "    certify             run the theorem verification sweeps\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "classify --help": (
+        "usage: polyfract classify [-h] problem\n"
+        "\n"
+        "positional arguments:\n"
+        "  problem     problem file path ('-' for stdin)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "represent --help": (
+        "usage: polyfract represent [-h] [--merge] [--basis {binomial,monomial}]\n"
+        "                           problem\n"
+        "\n"
+        "positional arguments:\n"
+        "  problem\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --merge               merge into one variable (cyclic domain and codomain)\n"
+        + BASIS_HELP
+    ),
+    "interp --help": (
+        "usage: polyfract interp [-h] [--basis {binomial,monomial}] problem\n"
+        "\n"
+        "positional arguments:\n"
+        "  problem\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        + BASIS_HELP
+    ),
+    "eval --help": (
+        "usage: polyfract eval [-h] --at AT [--modulus MODULUS] polynomial\n"
+        "\n"
+        "positional arguments:\n"
+        "  polynomial\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --at AT            comma-separated coordinates\n"
+        "  --modulus MODULUS  project a single-component result to this modulus\n"
+    ),
+    "lagrange --help": (
+        "usage: polyfract lagrange [-h] [--basis {binomial,monomial}] p alpha beta x0\n"
+        "\n"
+        "positional arguments:\n"
+        "  p\n"
+        "  alpha\n"
+        "  beta\n"
+        "  x0\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        + BASIS_HELP
+    ),
+    "cofract --help": (
+        "usage: polyfract cofract [-h] d q r x\n"
+        "\n"
+        "positional arguments:\n"
+        "  d\n"
+        "  q\n"
+        "  r\n"
+        "  x\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "taylor --help": (
+        "usage: polyfract taylor [-h] [--degree DEGREE] [--basis {binomial,monomial}]\n"
+        "                        problem\n"
+        "\n"
+        "positional arguments:\n"
+        "  problem\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --degree DEGREE       expansion degree (default: the map degree)\n"
+        + BASIS_HELP
+    ),
+    "count --help": (
+        "usage: polyfract count [-h] --domain DOMAIN --codomain CODOMAIN\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --domain DOMAIN      comma-separated moduli\n"
+        "  --codomain CODOMAIN  comma-separated moduli\n"
+    ),
+    "certify --help": (
+        "usage: polyfract certify [-h] [--max-prime MAX_PRIME] [--max-alpha MAX_ALPHA]\n"
+        "                         [--max-beta MAX_BETA] [--samples SAMPLES]\n"
+        "                         [--count-limit COUNT_LIMIT] [--seed SEED]\n"
+        "                         [--max-search MAX_SEARCH]\n"
+        "                         [--degree-bound-override DEGREE_BOUND_OVERRIDE]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-prime MAX_PRIME\n"
+        "  --max-alpha MAX_ALPHA\n"
+        "  --max-beta MAX_BETA\n"
+        "  --samples SAMPLES\n"
+        "  --count-limit COUNT_LIMIT\n"
+        "  --seed SEED\n"
+        "  --max-search MAX_SEARCH\n"
+        "  --degree-bound-override DEGREE_BOUND_OVERRIDE\n"
+        "                        override the oracle degree bound (testing only)\n"
+    ),
+}
+
+USAGE_ERRORS = {
+    "classify x.json extra": TOP_USAGE + "polyfract: error: unrecognized arguments: extra\n",
+    "bogus": (
+        TOP_USAGE
+        + "polyfract: error: argument command: invalid choice: 'bogus' (choose from "
+        + ", ".join(f"'{name}'" for name in COMMANDS) + ")\n"
+    ),
+    "": TOP_USAGE + "polyfract: error: the following arguments are required: command\n",
+    "cofract 1 2 3": (
+        "usage: polyfract cofract [-h] d q r x\n"
+        "polyfract cofract: error: the following arguments are required: x\n"
+    ),
+}
+
+FLAGS = ("-h", "--help", "--basis", "--merge", "--at", "--modulus", "--degree",
+         "--domain", "--codomain", "--max-prime", "--max-alpha", "--max-beta",
+         "--samples", "--count-limit", "--seed", "--max-search",
+         "--degree-bound-override")
+TOKENS = st.one_of(
+    st.sampled_from(COMMANDS + FLAGS + ("--", "--nope", "extra", "binomial", "monomial")),
+    st.integers(-3, 12).map(str),
+)
+
+
+def parse_outcome(parse, argv):
+    """How a parse ends: the namespace, or the exit code; with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ending = ("parsed", vars(parse(argv)))
+        except SystemExit as exc:
+            ending = ("exit", exc.code)
+    return ending, out.getvalue(), err.getvalue()
+
+
+class TestArgumentHandling:
+    """Building only the invoked command's parser changes no byte that
+    argument handling prints.  Nothing here runs a command."""
+
+    @pytest.mark.parametrize("line", HELP)
+    def test_help_is_unchanged(self, monkeypatch, capsys, line):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP[line], "")
+
+    @pytest.mark.parametrize("line", USAGE_ERRORS)
+    def test_usage_errors_are_unchanged(self, monkeypatch, capsys, line):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", USAGE_ERRORS[line])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(TOKENS, max_size=7),
+        st.builds(lambda name, rest: [name, *rest],
+                  st.sampled_from(COMMANDS), st.lists(TOKENS, max_size=6)),
+    ))
+    def test_parse_step_matches_the_full_parser(self, argv):
+        assert parse_outcome(_parse_args, argv) == parse_outcome(
+            lambda argv: build_parser().parse_args(argv), argv)

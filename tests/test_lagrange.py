@@ -1,4 +1,5 @@
 """Co-monofracts, point-indicator polyfracts, prime-power interpolation."""
+import re
 from itertools import product
 
 import pytest
@@ -61,6 +62,18 @@ class TestLagrangePolyfract:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             lagrange_polyfract(4, 1, 1, 0)
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, 1.5, 1, 0), "alpha 1.5 is not an integer"),
+        ((2, 1, 1.5, 0), "beta 1.5 is not an integer"),
+        ((2.0, 1, 1, 0), "p 2.0 is not an integer"),
+        ((4.0, 1.5, 1, 0), "p 4.0 is not an integer"),
+        ((2, 1, 1, 0.5), "x0 0.5 is not an integer"),
+        ((2, 0, 1, 0), "alpha and beta must be >= 1"),
+    ])
+    def test_bad_arguments_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lagrange_polyfract(*args)
 
     @pytest.mark.parametrize("p,alpha,beta", [
         (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 1, 2), (5, 1, 2),
@@ -189,6 +202,11 @@ class TestDegreeBound:
         with pytest.raises(NotPrime):
             degree_bound(6, 1, [1])
 
+    def test_non_integer_prime_rejected(self):
+        # is_prime(2.0) holds, so the float would reach the arithmetic
+        with pytest.raises(ValueError, match=r"^p 2\.0 is not an integer$"):
+            degree_bound(2.0, 2, [1])
+
     def test_non_integer_exponents_rejected(self):
         for beta, alphas, message in ((1.5, [1], r"beta 1\.5 is not an integer"),
                                       (2, [1, 2.0], r"alpha 2\.0 is not an integer"),
@@ -229,6 +247,20 @@ class TestInformationCoefficients:
     def test_length_checked(self):
         with pytest.raises(LengthMismatch):
             extend_information_coeffs([1, 2, 3], 2, 1, 2)
+
+    @pytest.mark.parametrize("p,alpha,beta,message", [
+        (2, 1.0, 1, "alpha 1.0 is not an integer"),
+        (2, 1, 1.0, "beta 1.0 is not an integer"),
+        (2.0, 1, 1, "p 2.0 is not an integer"),
+        (2, 1, 0, "alpha and beta must be >= 1"),
+    ])
+    def test_bad_arguments_named(self, p, alpha, beta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            extend_information_coeffs([0, 1], p, alpha, beta)
+
+    def test_not_prime(self):
+        with pytest.raises(NotPrime):
+            extend_information_coeffs([0] * 4, 4, 1, 1)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
