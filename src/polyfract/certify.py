@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .calculus import (
     FiniteFn,
@@ -92,22 +93,42 @@ def _table(q: int, r: int, values) -> FiniteFn:
     return FiniteFn._trusted((q,), (r,), (tuple(values),))
 
 
-def check_divisibility(opts: CertifyOptions) -> CheckResult:
+def _sweep(unit: str):
+    """Turn a case generator into a ``check_<sweep>`` returning a CheckResult.
+
+    The generator yields one value per case: ``None`` for a case that
+    passed, or the failure message, after which it is not resumed.  A check
+    that is not a case yields only its failure message.  The sweep's name is
+    the function's, without ``check_`` and with dashes; the detail of a
+    passing sweep is its case count and ``unit``.
+    """
+    def wrap(cases: Callable[[CertifyOptions], Iterator[str | None]]):
+        name = cases.__name__.removeprefix("check_").replace("_", "-")
+
+        @wraps(cases)
+        def check(opts: CertifyOptions) -> CheckResult:
+            count = 0
+            for failure in cases(opts):
+                if failure is not None:
+                    return CheckResult(name, False, failure)
+                count += 1
+            return CheckResult(name, True, f"{count} {unit}")
+        return check
+    return wrap
+
+
+@_sweep("tables checked")
+def check_divisibility(opts: CertifyOptions):
     """Iterated differences of integer tables on p-power cycles are
     divisible by the predicted prime powers, in both exponent regimes."""
     rng = random.Random(opts.seed)
-    tested = 0
     for p, alpha, beta in _pab_sweep(opts):
         q = p**alpha
         for mode in ("sharp", "coarse"):
             for table in _tables(q, p**beta, opts, rng):
                 f = _table(q, 0, table)
-                if not divisibility_check(f, beta, mode):
-                    return CheckResult(
-                        "divisibility", False,
-                        f"{mode} failed for p={p} alpha={alpha} beta={beta} {table}",
-                    )
-                tested += 1
+                yield None if divisibility_check(f, beta, mode) else (
+                    f"{mode} failed for p={p} alpha={alpha} beta={beta} {table}")
     # single-step variant needs a vanishing value sum
     for p, alpha, _ in _pab_sweep(opts):
         q = p**alpha
@@ -115,38 +136,28 @@ def check_divisibility(opts: CertifyOptions) -> CheckResult:
             head = [rng.randrange(-9, 10) for _ in range(q - 1)]
             table = head + [-sum(head)]
             f = _table(q, 0, table)
-            if not divisibility_check(f, 1, "single"):
-                return CheckResult(
-                    "divisibility", False,
-                    f"single failed for p={p} alpha={alpha} {table}",
-                )
-            tested += 1
-    return CheckResult("divisibility", True, f"{tested} tables checked")
+            yield None if divisibility_check(f, 1, "single") else (
+                f"single failed for p={p} alpha={alpha} {table}")
 
 
-def check_cofract_tail(opts: CertifyOptions) -> CheckResult:
+@_sweep("values checked")
+def check_cofract_tail(opts: CertifyOptions):
     """Co-monofract values vanish mod p^beta beyond the threshold degree."""
-    tested = 0
     for p, alpha, beta in _pab_sweep(opts):
         q = p**alpha
         threshold = (beta * (p - 1) + 1) * p ** (alpha - 1)
         for delta in range(threshold, 2 * threshold + 1):
             for x in range(q):
                 value = cofract(delta, q, 0, x).value
-                if value % p**beta != 0:
-                    return CheckResult(
-                        "cofract-tail", False,
-                        f"p^{beta} does not divide ({delta}|{x})_{q}",
-                    )
-                tested += 1
-    return CheckResult("cofract-tail", True, f"{tested} values checked")
+                yield None if value % p**beta == 0 else (
+                    f"p^{beta} does not divide ({delta}|{x})_{q}")
 
 
-def check_lagrange(opts: CertifyOptions) -> CheckResult:
+@_sweep("cases checked")
+def check_lagrange(opts: CertifyOptions):
     """Lagrange polyfracts are periodic point indicators of exact degree,
     with the predicted leading-coefficient divisibility and projection
     compatibility between coefficient moduli."""
-    tested = 0
     for p, alpha, beta in _pab_sweep(opts):
         q = p**alpha
         d = q - 1 + (beta - 1) * (p - 1) * p ** (alpha - 1)
@@ -155,22 +166,12 @@ def check_lagrange(opts: CertifyOptions) -> CheckResult:
             vals = lag.values(0, 2 * q)
             want = [1 if x % q == x0 else 0 for x in range(2 * q)]
             if vals != want:
-                return CheckResult(
-                    "lagrange", False,
-                    f"indicator failed for p={p} alpha={alpha} beta={beta} x0={x0}",
-                )
+                yield f"indicator failed for p={p} alpha={alpha} beta={beta} x0={x0}"
             if lag.degree != d:
-                return CheckResult(
-                    "lagrange", False,
-                    f"degree {lag.degree} != {d} for p={p} alpha={alpha} beta={beta}",
-                )
+                yield f"degree {lag.degree} != {d} for p={p} alpha={alpha} beta={beta}"
             leading = cofract(d, q, 0, d - x0).value
-            if leading % p ** (beta - 1) != 0:
-                return CheckResult(
-                    "lagrange", False,
-                    f"p^{beta - 1} does not divide leading cofract {leading}",
-                )
-            tested += 1
+            yield None if leading % p ** (beta - 1) == 0 else (
+                f"p^{beta - 1} does not divide leading cofract {leading}")
         # reducing the coefficient modulus rediscovers the smaller expansion
         for beta_small in range(1, beta):
             small = lagrange_polyfract(p, alpha, beta_small, 0)
@@ -182,19 +183,14 @@ def check_lagrange(opts: CertifyOptions) -> CheckResult:
                     for c in big.coeffs
                 ),
             )
-            if projected != small:
-                return CheckResult(
-                    "lagrange", False,
-                    f"projection p^{beta}->p^{beta_small} mismatch (p={p}, alpha={alpha})",
-                )
-            tested += 1
-    return CheckResult("lagrange", True, f"{tested} cases checked")
+            yield None if projected == small else (
+                f"projection p^{beta}->p^{beta_small} mismatch (p={p}, alpha={alpha})")
 
 
-def check_hrycaj(opts: CertifyOptions) -> CheckResult:
+@_sweep("random polyfracts checked")
+def check_hrycaj(opts: CertifyOptions):
     """Coefficient periodicity criterion agrees with table periodicity."""
     rng = random.Random(opts.seed + 1)
-    agreements = 0
     for _ in range(opts.samples):
         r = rng.randrange(2, 17)
         deg = rng.randrange(0, 13)
@@ -203,18 +199,14 @@ def check_hrycaj(opts: CertifyOptions) -> CheckResult:
         span = (p.degree or 0) + q + 1
         vals = p.values(0, span + q)
         direct = all(vals[x + q] == vals[x] for x in range(span))
-        if hrycaj_periodicity(p, q) != direct:
-            return CheckResult(
-                "hrycaj", False, f"disagreement for r={r} q={q} coeffs={p.coeffs}"
-            )
-        agreements += 1
-    return CheckResult("hrycaj", True, f"{agreements} random polyfracts checked")
+        yield None if hrycaj_periodicity(p, q) == direct else (
+            f"disagreement for r={r} q={q} coeffs={p.coeffs}")
 
 
-def check_grid_vanishing(opts: CertifyOptions) -> CheckResult:
+@_sweep("random grids checked")
+def check_grid_vanishing(opts: CertifyOptions):
     """Coefficient support and value table vanish on the same grids."""
     rng = random.Random(opts.seed + 2)
-    tested = 0
     for _ in range(min(opts.samples, 400)):
         nvars = rng.randrange(1, 4)
         r = rng.randrange(2, 9)
@@ -225,18 +217,13 @@ def check_grid_vanishing(opts: CertifyOptions) -> CheckResult:
         p = MultiPolyfract((r,), nvars, tuple(terms.items()))
         bounds = tuple(rng.randrange(0, 5) for _ in range(nvars))
         a, b = grid_vanish_equiv(p, bounds)
-        if a != b:
-            return CheckResult(
-                "grid-vanishing", False, f"split verdict for {p} on {bounds}"
-            )
-        tested += 1
-    return CheckResult("grid-vanishing", True, f"{tested} random grids checked")
+        yield None if a == b else f"split verdict for {p} on {bounds}"
 
 
-def check_degree_bound(opts: CertifyOptions) -> CheckResult:
+@_sweep("interpolations checked")
+def check_degree_bound(opts: CertifyOptions):
     """Interpolated maps respect the total degree bound and attain it."""
     rng = random.Random(opts.seed + 3)
-    tested = 0
     for p, alpha, beta in _pab_sweep(opts):
         q = p**alpha
         bound = degree_bound(p, beta, [alpha])
@@ -246,25 +233,17 @@ def check_degree_bound(opts: CertifyOptions) -> CheckResult:
             f = _table(q, p**beta, table)
             total, _ = interpolate_prime_power(f).degrees()
             total = -1 if total is None else total
-            if total > bound:
-                return CheckResult(
-                    "degree-bound", False,
-                    f"degree {total} exceeds bound {bound} for {table}",
-                )
+            yield None if total <= bound else (
+                f"degree {total} exceeds bound {bound} for {table}")
             best = max(best, total)
-            tested += 1
         if exhaustive and best != bound:
-            return CheckResult(
-                "degree-bound", False,
-                f"bound {bound} not attained for p={p} alpha={alpha} beta={beta}",
-            )
-    return CheckResult("degree-bound", True, f"{tested} interpolations checked")
+            yield f"bound {bound} not attained for p={p} alpha={alpha} beta={beta}"
 
 
-def check_counting(opts: CertifyOptions) -> CheckResult:
+@_sweep("maps checked")
+def check_counting(opts: CertifyOptions):
     """Block test, brute-force oracle, and the closed-form count agree."""
     limit = opts.count_limit
-    checked = 0
     for q in range(1, limit + 1):
         for r in range(1, limit + 1):
             if r**q > EXHAUSTIVE_LIMIT:
@@ -277,34 +256,24 @@ def check_counting(opts: CertifyOptions) -> CheckResult:
                     f, opts.max_search, opts.degree_bound_override
                 )
                 if verdict.polyfractal != oracle:
-                    return CheckResult(
-                        "counting", False,
-                        f"verdict {verdict.polyfractal} vs oracle {oracle} "
-                        f"for {table} (q={q}, r={r})",
-                    )
+                    yield (f"verdict {verdict.polyfractal} vs oracle {oracle} "
+                           f"for {table} (q={q}, r={r})")
                 if not verdict.polyfractal and not counterexample_is_valid(
                     f, verdict.counterexample
                 ):
-                    return CheckResult(
-                        "counting", False,
-                        f"invalid counterexample for {table} (q={q}, r={r})",
-                    )
+                    yield f"invalid counterexample for {table} (q={q}, r={r})"
                 hits += verdict.polyfractal
-                checked += 1
+                yield None
             expected = count_polyfractal([q], [r])
             if hits != expected:
-                return CheckResult(
-                    "counting", False,
-                    f"counted {hits} != closed form {expected} for q={q} r={r}",
-                )
-    return CheckResult("counting", True, f"{checked} maps checked")
+                yield f"counted {hits} != closed form {expected} for q={q} r={r}"
 
 
-def check_taylor_interpolation(opts: CertifyOptions) -> CheckResult:
+@_sweep("cases checked")
+def check_taylor_interpolation(opts: CertifyOptions):
     """The difference expansion and the cofract interpolation coincide,
     and information coefficients extend consistently."""
     rng = random.Random(opts.seed + 4)
-    tested = 0
     for p, alpha, beta in _pab_sweep(opts):
         q = p**alpha
         r = p**beta
@@ -313,29 +282,17 @@ def check_taylor_interpolation(opts: CertifyOptions) -> CheckResult:
             f = _table(q, r, table)
             via_taylor = taylor_expand(f, bound)
             via_interp = interpolate_prime_power(f).component_uni(0)
-            if via_taylor != via_interp:
-                return CheckResult(
-                    "taylor-interpolation", False,
-                    f"mismatch for {table} (p={p} alpha={alpha} beta={beta})",
-                )
-            tested += 1
+            yield None if via_taylor == via_interp else (
+                f"mismatch for {table} (p={p} alpha={alpha} beta={beta})")
         for _ in range(min(opts.samples, 100)):
             info = [rng.randrange(r) for _ in range(q)]
             extended = extend_information_coeffs(info, p, alpha, beta)
             if [extended.coefficient(i) for i in range(q)] != info:
-                return CheckResult(
-                    "taylor-interpolation", False,
-                    f"extension does not preserve info {info}",
-                )
+                yield f"extension does not preserve info {info}"
             values = [Residue(v, r) for v in extended.values(0, q)]
             back = [c.value for c in coeffs_from_values(values)]
-            if back != info:
-                return CheckResult(
-                    "taylor-interpolation", False,
-                    f"difference transform does not invert for {info}",
-                )
-            tested += 1
-    return CheckResult("taylor-interpolation", True, f"{tested} cases checked")
+            yield None if back == info else (
+                f"difference transform does not invert for {info}")
 
 
 def _random_periodic(q: int, r: int, rng: random.Random) -> UniPolyfract:
@@ -343,12 +300,12 @@ def _random_periodic(q: int, r: int, rng: random.Random) -> UniPolyfract:
     return interpolate_prime_power(_table(q, r, table)).component_uni(0)
 
 
-def check_split_merge(opts: CertifyOptions) -> CheckResult:
+@_sweep("round trips checked")
+def check_split_merge(opts: CertifyOptions):
     """Variable splitting round-trips and commutes with evaluation."""
     rng = random.Random(opts.seed + 5)
-    rounds = min(opts.samples, 300)
     pairs = [(2, 3), (2, 5), (3, 2), (4, 3), (8, 3), (9, 2), (4, 9), (5, 4)]
-    for _ in range(rounds):
+    for _ in range(min(opts.samples, 300)):
         q1, q2 = pairs[rng.randrange(len(pairs))]
         r1, r2 = q1, q2  # same prime support keeps the components periodic
         p1 = _random_periodic(q1, r1, rng)
@@ -356,25 +313,18 @@ def check_split_merge(opts: CertifyOptions) -> CheckResult:
         pair = MultiPolyfract.from_components([p1, p2])
         split = split_variable(pair, q1, q2)
         if merge_variables(split) != pair:
-            return CheckResult(
-                "split-merge", False, f"round trip failed for {pair}"
-            )
+            yield f"round trip failed for {pair}"
         for x in range(q1 * q2):
-            lhs = split.evaluate((x % q1, x % q2))
-            rhs = pair.evaluate((x,))
-            if lhs != rhs:
-                return CheckResult(
-                    "split-merge", False,
-                    f"evaluation mismatch at {x} for {pair}",
-                )
-    return CheckResult("split-merge", True, f"{rounds} round trips checked")
+            if split.evaluate((x % q1, x % q2)) != pair.evaluate((x,)):
+                yield f"evaluation mismatch at {x} for {pair}"
+        yield None
 
 
-def check_ring_laws(opts: CertifyOptions) -> CheckResult:
+@_sweep("random triples checked")
+def check_ring_laws(opts: CertifyOptions):
     """Ring axioms and pointwise correctness of the five-step product."""
     rng = random.Random(opts.seed + 6)
-    rounds = min(opts.samples, 300)
-    for _ in range(rounds):
+    for _ in range(min(opts.samples, 300)):
         r = rng.randrange(2, 13)
         polys = [
             UniPolyfract(
@@ -384,19 +334,17 @@ def check_ring_laws(opts: CertifyOptions) -> CheckResult:
         ]
         p, q, s = polys
         if (p + q) + s != p + (q + s) or p + q != q + p:
-            return CheckResult("ring-laws", False, f"addition broke for {polys}")
+            yield f"addition broke for {polys}"
         if p * q != q * p or (p * q) * s != p * (q * s):
-            return CheckResult("ring-laws", False, f"multiplication broke for {polys}")
+            yield f"multiplication broke for {polys}"
         if p * (q + s) != p * q + p * s:
-            return CheckResult("ring-laws", False, f"distributivity broke for {polys}")
+            yield f"distributivity broke for {polys}"
         window = max(t.degree or 0 for t in polys) * 2 + 3
         prod_poly = p * q
         for x in range(window):
             if prod_poly.evaluate(x) != p.evaluate(x) * q.evaluate(x):
-                return CheckResult(
-                    "ring-laws", False, f"pointwise product broke at {x} for {polys}"
-                )
-    return CheckResult("ring-laws", True, f"{rounds} random triples checked")
+                yield f"pointwise product broke at {x} for {polys}"
+        yield None
 
 
 _CHECKS: tuple[Callable[[CertifyOptions], CheckResult], ...] = (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product
-from math import comb, prod
+from math import comb, log10, prod
 from operator import ne
 from typing import Sequence
 
@@ -216,11 +216,22 @@ def represent_univariate(f: FiniteFn) -> tuple[UniPolyfract, RationalPoly]:
     return poly, poly.to_rational(lift="balanced")
 
 
-def count_polyfractal(domain: Sequence[int], codomain: Sequence[int]) -> int:
+def count_polyfractal(domain: Sequence[int], codomain: Sequence[int],
+                      max_digits: int | None = None) -> int:
     """Number of polyfractal maps: the product over primes of
-    |B_p| ** |A_p| for the primary components A_p, B_p."""
+    |B_p| ** |A_p| for the primary components A_p, B_p.
+
+    With ``max_digits``, a count that certainly has more decimal digits
+    raises TooLarge before any power is taken: it is at least 2 to the
+    sum over primes of |A_p| * floor(log2 |B_p|).
+    """
     a, b = _split_group(tuple(domain), tuple(codomain))
-    return prod(prod(b_p) ** prod(a_p) for a_p, b_p in zip(a.parts, b.parts))
+    sizes = [(prod(a_p), prod(b_p)) for a_p, b_p in zip(a.parts, b.parts)]
+    if max_digits is not None:
+        bits = sum(n * (m.bit_length() - 1) for n, m in sizes)
+        if bits > (max_digits + 1) / log10(2):
+            raise TooLarge(f"count has more than {max_digits} digits")
+    return prod(m**n for n, m in sizes)
 
 
 @lru_cache(maxsize=128)

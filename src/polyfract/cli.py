@@ -18,13 +18,15 @@ Emission is deterministic: terms sorted lexicographically by exponent,
 fixed key order, newline-terminated UTF-8.
 
 Exit codes: 0 success, 2 parse/validation error, 3 precondition failure,
-4 resource guard tripped (1 is reserved for failed certify checks).
+4 resource guard tripped, a result too long to print included (1 is
+reserved for failed certify checks).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from math import prod
@@ -212,15 +214,32 @@ def emit_polynomial(poly: MultiPolyfract | RationalPolyMulti,
         codomain, payload = poly.codomain, poly.to_rational(lift="balanced")
     else:
         raise ValidationError(f"unknown basis {basis!r}")
-    doc = {
-        "basis": basis,
-        "vars": poly.nvars,
-        "codomain": list(codomain),
-        "terms": [
-            [list(exp), [str(c) for c in coeffs]] for exp, coeffs in payload.terms
-        ],
-    }
-    return json.dumps(doc) + "\n"
+    with _printable():
+        doc = {
+            "basis": basis,
+            "vars": poly.nvars,
+            "codomain": list(codomain),
+            "terms": [
+                [list(exp), [str(c) for c in coeffs]] for exp, coeffs in payload.terms
+            ],
+        }
+        return json.dumps(doc) + "\n"
+
+
+def _max_digits() -> int:
+    """The most digits Python converts an int to text with; 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+@contextmanager
+def _printable():
+    """Report a number with more digits than Python will convert to text
+    as TooLarge, not as a bare ValueError."""
+    try:
+        yield
+    except ValueError:
+        raise TooLarge(f"result has more than {_max_digits()} digits, the most "
+                       "Python prints; PYTHONINTMAXSTRDIGITS raises the limit") from None
 
 
 def _polyfract_from_file(text: str) -> MultiPolyfract:
@@ -301,7 +320,8 @@ def _cmd_eval(args) -> int:
         poly = MultiPolyfract((args.modulus,), poly.nvars, tuple(projected.items()))
     point = _parse_point(args.at)
     values = poly.evaluate(point)
-    print(json.dumps([r.value for r in values]))
+    with _printable():
+        print(json.dumps([r.value for r in values]))
     return 0
 
 
@@ -312,7 +332,9 @@ def _cmd_lagrange(args) -> int:
 
 
 def _cmd_cofract(args) -> int:
-    print(cofract(args.d, args.q, args.r, args.x).value)
+    value = cofract(args.d, args.q, args.r, args.x).value
+    with _printable():
+        print(value)
     return 0
 
 
@@ -338,8 +360,11 @@ def _parse_moduli(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_count(args) -> int:
-    print(count_polyfractal(_parse_moduli(args.domain, "domain"),
-                            _parse_moduli(args.codomain, "codomain")))
+    count = count_polyfractal(_parse_moduli(args.domain, "domain"),
+                              _parse_moduli(args.codomain, "codomain"),
+                              _max_digits() or None)
+    with _printable():
+        print(count)
     return 0
 
 

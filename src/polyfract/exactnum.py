@@ -146,7 +146,7 @@ def mod_project(x: Residue, r: int) -> Residue:
 
 def is_prime(p: int) -> bool:
     """Trial-division primality test; inputs here are desk-scale."""
-    if p < 2:
+    if as_integer(p, "p") < 2:
         return False
     d = 2
     while d * d <= p:
@@ -201,6 +201,8 @@ def prime_factors(n: int) -> dict[int, int]:
 
 def prime_part(n: int, p: int) -> int:
     """The p-power part p^{v_p(n)} of n >= 1 (so 1 when p does not divide n)."""
+    if as_integer(n, "n") < 1 or as_integer(p, "p") < 2:
+        raise ValueError(f"need n >= 1 and p >= 2, got n={n}, p={p}")
     part = 1
     while n % p == 0:
         part *= p

@@ -12,8 +12,10 @@ from math import gcd
 from typing import Sequence
 
 from .calculus import hrycaj_periodicity
-from .errors import ArityMismatch, CoprimalityViolation, ModulusMismatch, NotPeriodic
-from .exactnum import Residue, as_integer, prime_factors, prime_part
+from .errors import (
+    ArityMismatch, CoprimalityViolation, ModulusMismatch, NotPeriodic, NotPrime,
+)
+from .exactnum import Residue, as_integer, is_prime, prime_factors, prime_part
 from .multi import MultiPolyfract, merge_variables
 from .uni import UniPolyfract
 
@@ -71,6 +73,9 @@ def _covering_primes(moduli: Sequence[int],
         needed.update(prime_factors(q))
     if primes is None:
         return tuple(sorted(needed))
+    for p in primes:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
     if not needed <= set(primes):
         raise ValueError(f"prime list must cover {sorted(needed)}")
     return tuple(sorted(set(primes)))

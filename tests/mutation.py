@@ -33,6 +33,7 @@ class Mutant(NamedTuple):
 
 
 CALCULUS = "src/polyfract/calculus.py"
+CERTIFY = "src/polyfract/certify.py"
 KERNELS = "tests/test_interp_kernels.py::"
 
 MUTANTS = (
@@ -124,10 +125,19 @@ MUTANTS = (
            ("tests/test_cli.py::TestArgumentHandling",)),
     # trusted sweep tables: certify still passes, since interpolation
     # reduces mod r, and no case count moves
-    Mutant("sweep hands over its modulus as a value", "src/polyfract/certify.py",
+    Mutant("sweep hands over its modulus as a value", CERTIFY,
            "f = _table(q, p**beta, table)",
            "f = _table(q, p**beta, [v or p**beta for v in table])",
            ("tests/test_certify.py",)),
+    # the one driver of the certify sweeps
+    Mutant("driver counts a failure message as a passed case and goes on", CERTIFY,
+           "if failure is not None:",
+           "if False:",
+           ("tests/test_cli.py::TestCommands::test_certify_reports_unsound_override",)),
+    Mutant("driver's case count starts at 1", CERTIFY,
+           "count = 0",
+           "count = 1",
+           ("tests/test_cli.py::TestCommands::test_certify_quick",)),
 )
 
 # Mutants that change no result, so no test can kill them, with the reason.

@@ -314,6 +314,22 @@ class TestCount:
         with pytest.raises(ValueError, match="moduli must be >= 1"):
             count_polyfractal([4], [-3])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           st.integers(0, 400))
+    def test_digit_guard_rejects_only_longer_counts(self, domain, codomain, digits):
+        count = count_polyfractal(domain, codomain)
+        try:
+            assert count_polyfractal(domain, codomain, digits) == count
+        except TooLarge:
+            assert count >= 10**digits  # more than ``digits`` digits
+
+    def test_digit_guard_skips_the_power(self):
+        # the count has about 3.6e12 digits; only the guard can answer
+        with pytest.raises(TooLarge, match="more than 4300 digits"):
+            count_polyfractal([2**40], [2**40], 4300)
+
 
 class TestBruteForce:
     def test_same_prime_all_maps(self):

@@ -23,7 +23,7 @@ from polyfract.cli import (
     parse_polynomial,
     parse_problem,
 )
-from polyfract.errors import ParseError, ValidationError
+from polyfract.errors import ParseError, TooLarge, ValidationError
 
 INDICATOR_PROBLEM = '{"domain": [3], "codomain": [9], "values": [1, 0, 0]}'
 
@@ -483,7 +483,61 @@ class TestCommands:
             "--degree-bound-override", "0",
         )
         assert code == 1
-        assert any(line.startswith("FAIL counting") for line in out.splitlines())
+        # the failing sweep stops at its first bad case; the others still run
+        assert out.splitlines() == [
+            "PASS divisibility: 72 tables checked",
+            "PASS cofract-tail: 18 values checked",
+            "PASS lagrange: 5 cases checked",
+            "PASS hrycaj: 5 random polyfracts checked",
+            "PASS grid-vanishing: 5 random grids checked",
+            "PASS degree-bound: 31 interpolations checked",
+            "FAIL counting: verdict True vs oracle False for (0, 1) (q=2, r=2)",
+            "PASS taylor-interpolation: 41 cases checked",
+            "PASS split-merge: 5 round trips checked",
+            "PASS ring-laws: 5 random triples checked",
+        ]
+
+
+class TestLongResults:
+    """A result with more digits than Python converts to text (4300 by
+    default) is a tripped resource guard: exit 4 and one error line."""
+
+    def assert_too_large(self, run, *argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "digits" in err
+
+    def test_count_rejected_before_the_power(self, run):
+        self.assert_too_large(run, "count", "--domain", "16384", "--codomain", "2")
+
+    def test_count_that_never_finished_is_rejected(self, run):
+        # 2**40 ** 2**40 has about 3.6e12 digits
+        self.assert_too_large(run, "count", "--domain", "1099511627776",
+                              "--codomain", "1099511627776")
+
+    def test_count_rejected_when_printed(self, run):
+        # 3**6561 * 2**4096 has 4364 digits, more than the guard's lower
+        # bound 2**(6561 + 4096) proves
+        self.assert_too_large(run, "count", "--domain", "6561,4096", "--codomain", "6")
+
+    def test_long_count_that_fits_still_prints(self, run):
+        code, out, _ = run("count", "--domain", "6561,2048", "--codomain", "6")
+        assert (code, out) == (0, f"{3**6561 * 2**2048}\n")
+
+    def test_cofract(self, run):
+        self.assert_too_large(run, "cofract", "16000", "16000", "0", "8000")
+
+    def test_eval(self, run, problem_file):
+        path = problem_file('{"basis": "binomial", "vars": 1, "codomain": [0], '
+                            '"terms": [[[3000], ["1"]]]}')
+        self.assert_too_large(run, "eval", path, "--at", "100000")
+
+    @pytest.mark.parametrize("basis", ["binomial", "monomial"])
+    def test_emit_polynomial(self, basis):
+        poly = MultiPolyfract((0,), 1, (((1,), (10**4999,)),))
+        with pytest.raises(TooLarge, match="digits"):
+            emit_polynomial(poly, basis)
 
 
 COMMANDS = ("classify", "represent", "interp", "eval", "lagrange", "cofract",

@@ -192,6 +192,21 @@ class TestHelpers:
         assert prime_part(600, 2) == 8
         assert prime_part(600, 7) == 1
 
+    @pytest.mark.parametrize("n,p", [(0, 2), (-8, 2), (4, 1), (4, 0), (4, -2)])
+    def test_prime_part_rejects_out_of_range(self, n, p):
+        with pytest.raises(ValueError, match="need n >= 1 and p >= 2"):
+            prime_part(n, p)
+
+    @pytest.mark.parametrize("n,p", [(4.0, 2), (4, 2.0), (4, 2.5)])
+    def test_prime_part_rejects_non_integers(self, n, p):
+        with pytest.raises(ValueError, match="not an integer"):
+            prime_part(n, p)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "7"])
+    def test_is_prime_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            is_prime(bad)
+
     @given(st.integers(-50, 50), st.integers(1, 20))
     def test_balanced_lift(self, v, r):
         lifted = balanced_lift(v, r)

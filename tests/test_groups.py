@@ -23,6 +23,7 @@ from polyfract.errors import (
     CoprimalityViolation,
     ModulusMismatch,
     NotPeriodic,
+    NotPrime,
 )
 
 
@@ -64,6 +65,15 @@ class TestPrimaryDecompose:
     def test_insufficient_prime_list_rejected(self):
         with pytest.raises(ValueError):
             split_group((12,), primes=(2,))
+
+    @pytest.mark.parametrize("primes", [(1, 2), (2, 4), (2, 3, 9), (0, 2), (-2, 2)])
+    def test_non_prime_in_prime_list_rejected(self, primes):
+        with pytest.raises(NotPrime):
+            split_group((4,), primes=primes)
+
+    def test_non_integer_in_prime_list_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            split_group((4,), primes=(2, 3.0))
 
 
 def moduli_with_primes():
@@ -172,6 +182,11 @@ class TestCRTMap:
     def test_non_integral_modulus_rejected(self):
         with pytest.raises(ValueError, match="not an integer"):
             crt_map(12.0)
+
+    @pytest.mark.parametrize("primes", [(2, 4), (1, 2), (2, 3, 6)])
+    def test_non_prime_in_prime_list_rejected(self, primes):
+        with pytest.raises(NotPrime):
+            crt_map(4, primes=primes)
 
     def test_wrong_modulus_rejected(self):
         crt = crt_map(12)

@@ -371,6 +371,12 @@ class TestTaylorExpandMulti:
             assert taylor_expand_multi(f, bounds) == MultiPolyfract(
                 f.codomain_moduli, f.nvars, tuple(terms))
 
+    def test_difference_left_in_a_later_factor_only(self):
+        # delta f vanishes in the first codomain factor but not the second
+        f = FiniteFn((2,), (2, 4), ((0, 0), (0, 1)))
+        with pytest.raises(PreconditionFailed, match="does not annihilate"):
+            taylor_expand_multi(f, (0,))
+
 
 # Composite moduli, prime powers, Z itself and the trivial group.
 EVAL_MODULI = (0, 1, 2, 4, 5, 6, 9, 12, 16, 27, 30)
