@@ -29,7 +29,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
-from math import prod
+from math import factorial, gcd, prod
 from typing import Sequence
 
 from .calculus import FiniteFn, map_degree, taylor_expand
@@ -43,7 +43,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .exactnum import Residue, mod_project
+from .exactnum import Residue, balanced_lift, mod_project
 from .lagrange import cofract, interpolate_prime_power, lagrange_polyfract
 from .multi import MultiPolyfract, RationalPolyMulti
 
@@ -211,6 +211,7 @@ def emit_polynomial(poly: MultiPolyfract | RationalPolyMulti,
     elif basis == "binomial":
         codomain, payload = poly.codomain, poly
     elif basis == "monomial":
+        _check_leading_denominator(poly)
         codomain, payload = poly.codomain, poly.to_rational(lift="balanced")
     else:
         raise ValidationError(f"unknown basis {basis!r}")
@@ -231,6 +232,11 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+def _too_long() -> TooLarge:
+    return TooLarge(f"result has more than {_max_digits()} digits, the most "
+                    "Python prints; PYTHONINTMAXSTRDIGITS raises the limit")
+
+
 @contextmanager
 def _printable():
     """Report a number with more digits than Python will convert to text
@@ -238,8 +244,28 @@ def _printable():
     try:
         yield
     except ValueError:
-        raise TooLarge(f"result has more than {_max_digits()} digits, the most "
-                       "Python prints; PYTHONINTMAXSTRDIGITS raises the limit") from None
+        raise _too_long() from None
+
+
+def _check_leading_denominator(poly: MultiPolyfract) -> None:
+    """Raise TooLarge before the monomial expansion when it would print a
+    denominator longer than Python prints.
+
+    Of the terms, only the lexicographically last, e, reaches the monomial
+    x^e, so in every slot where c_e is nonzero that monomial's coefficient
+    is lift(c_e) / prod_j e_j!.  A reduced denominator of b bits is at
+    least 2^(b-1), so it has more than (b - 1) * 0.30102 digits.
+    """
+    limit = _max_digits()
+    if not limit or not poly.terms:
+        return
+    exp, coeffs = poly.terms[-1]
+    fact = prod(map(factorial, exp))
+    for c, r in zip(coeffs, poly.codomain):
+        if c:
+            den = fact // gcd(balanced_lift(c, r), fact)
+            if (den.bit_length() - 1) * 30102 // 100000 >= limit:
+                raise _too_long()
 
 
 def _polyfract_from_file(text: str) -> MultiPolyfract:

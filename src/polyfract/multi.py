@@ -3,30 +3,35 @@
 A term maps an exponent tuple d to a coefficient tuple, one slot per
 codomain factor; the induced map sends x to the componentwise-reduced sum
 of coeff * C(x_1, d_1) * ... * C(x_n, d_n).  Ring arithmetic works slot by
-slot, with multiplication running the five-step procedure generalized to n
-variables: expand into sparse rational monomials, multiply, re-express in
-the binomial basis, reduce.  Both basis changes are the n-variable drivers
-in ``uni`` (``_expand_to_monomials`` and ``_binomial_coeffs``), which run
-the univariate kernels ``_to_monomial`` and ``_to_falling`` along one
-variable at a time; ``NotIntegerValued`` names the first coefficient that
-is not an integer by its exponent tuple, or by its degree for one variable.
-The rational monomials are kept as integer numerators over one denominator
-per polynomial; ``Fraction`` appears only in ``RationalPolyMulti``, the
-monomial-basis edge.
+slot.  Products and ``compose`` use the paper's Taylor-type theorem: a
+polyfract's coefficients are its differences Delta^e f(0), so a result of
+degree at most D_j in variable j is fixed by its values on the box
+prod_j [0..D_j].  The operands' values there come from ``uni.box_values``
+and the difference triangle ``uni.box_coeffs`` takes the combined values
+back, all in integers reduced mod r.  The monomial basis is the I/O edge:
+``to_rational``, ``from_rational`` and ``merge_variables`` run the
+n-variable basis-change drivers in ``uni`` (``_expand_to_monomials`` and
+``_binomial_coeffs``) on integer numerators over one denominator per
+polynomial; ``NotIntegerValued`` names the first coefficient that is not
+an integer by its exponent tuple, or by its degree for one variable.
+``Fraction`` appears only in ``RationalPolyMulti``, the monomial-basis
+edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import factorial
+from math import factorial, prod
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch
 from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
 from .uni import (
-    RationalPoly, UniPolyfract, _MPoly, _binomial_coeffs, _expand_to_monomials,
-    _numerators, _to_monomial,
+    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _numerators,
+    _to_monomial, box_coeffs, box_values,
 )
 
 __all__ = [
@@ -63,19 +68,6 @@ def _join_slots(slots: Sequence[Mapping[tuple[int, ...], object]]) -> tuple:
     map per codomain slot; a slot without an exponent reads 0 there."""
     return tuple((exp, tuple(sl.get(exp, 0) for sl in slots))
                  for exp in set().union(*slots))
-
-
-def _mpoly_mul(a: _MPoly, b: _MPoly) -> _MPoly:
-    out: _MPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
 
 
 @dataclass(frozen=True)
@@ -234,7 +226,7 @@ class MultiPolyfract:
 
     def difference(self, var: int) -> "MultiPolyfract":
         """Forward difference in one variable, acting on coefficients."""
-        if not 0 <= var < self.nvars:
+        if not 0 <= as_integer(var, "variable", ArityMismatch) < self.nvars:
             raise ArityMismatch(f"variable {var} out of range")
         terms = []
         for exp, coeffs in self.terms:
@@ -285,14 +277,40 @@ class MultiPolyfract:
         return self + (-other)
 
     def __mul__(self, other: "MultiPolyfract") -> "MultiPolyfract":
-        """Componentwise five-step product over the tuple codomain."""
+        """Product over the tuple codomain, slot by slot, on the degree box.
+
+        P*Q has degree at most D_j = deg_j P + deg_j Q in variable j, so its
+        coefficients are the differences Delta^e (P*Q)(0) on the box
+        prod_j [0..D_j]: both operands' values there (``box_values``),
+        multiplied pointwise, and the difference triangle back
+        (``box_coeffs``), all in integers reduced mod r.
+        """
         self._check(other)
-        slot_results = []
-        for i in range(self.width):
-            a, da = _expand_to_monomials(self.slot_map(i))
-            b, db = _expand_to_monomials(other.slot_map(i))
-            slot_results.append(_binomial_coeffs(_mpoly_mul(a, b), da * db, self.nvars))
-        return MultiPolyfract(self.codomain, self.nvars, _join_slots(slot_results))
+        if not self.terms or not other.terms:
+            return MultiPolyfract._trusted(self.codomain, self.nvars, ())
+        a, shape_a = self._box()
+        b, shape_b = other._box()
+        sizes = tuple(x + y - 1 for x, y in zip(shape_a, shape_b))
+        slots = [
+            box_coeffs(list(map(mul, box_values(ca, shape_a, sizes, r),
+                                box_values(cb, shape_b, sizes, r))), sizes, r)
+            for ca, cb, r in zip(a, b, self.codomain)
+        ]
+        return MultiPolyfract._trusted(self.codomain, self.nvars, _box_terms(slots, sizes))
+
+    def _box(self) -> tuple[list[list[int]], tuple[int, ...]]:
+        """The coefficients on the box prod_j [0..deg_j], one row-major
+        flat list per slot, and the box's shape; needs a nonzero self."""
+        shape = tuple(max(col) + 1 for col in zip(*(exp for exp, _ in self.terms)))
+        strides = [1] * self.nvars
+        for j in range(self.nvars - 1, 0, -1):
+            strides[j - 1] = strides[j] * shape[j]
+        flats = [[0] * prod(shape) for _ in self.codomain]
+        for exp, coeffs in self.terms:
+            at = sum(map(mul, exp, strides))
+            for flat, c in zip(flats, coeffs):
+                flat[at] = c
+        return flats, shape
 
     def to_rational(self, lift: str = "balanced") -> RationalPolyMulti:
         """Monomial-basis representative with rational tuple coefficients."""
@@ -317,31 +335,31 @@ class MultiPolyfract:
 def compose(q: UniPolyfract, p: MultiPolyfract) -> MultiPolyfract:
     """Substitute the polyfract p into q; both must be over Z (modulus 0).
 
-    The composed rational polynomial is integer valued, hence again a
-    polyfract; for nonconstant inputs its degree is deg(q) * deg(p).  With
-    q = sum_k a_k X^k / (deg q)! and p = P / D, Horner's rule runs on the
-    integer numerators of sum_k a_k P^k D^(deg q - k) over (deg q)! D^(deg q).
+    The composed map is integer valued, hence again a polyfract, of degree
+    at most D_j = deg(q) * deg_j(p) in variable j.  Its coefficients are
+    the differences on the box prod_j [0..D_j]: p's values there
+    (``box_values``), q evaluated at each distinct value, and the
+    difference triangle back (``box_coeffs``).
     """
     if q.modulus != 0 or p.codomain != (0,):
         raise ModulusMismatch("composition is defined over modulus 0 only")
-    p_mono, p_den = _expand_to_monomials(p.slot_map(0))
-    top = max(len(q.coeffs) - 1, 0)
-    q_nums, q_den = _to_monomial(q.coeffs, top), factorial(top)
-    zero_exp = (0,) * p.nvars
-    acc: _MPoly = {}
-    power = 1  # D^(deg q - k) for the coefficient a_k being added
-    for c in reversed(q_nums):
-        acc = _mpoly_mul(acc, p_mono)
-        if c:
-            v = acc.get(zero_exp, 0) + c * power
-            if v:
-                acc[zero_exp] = v
-            else:
-                acc.pop(zero_exp, None)
-        power *= p_den
-    den = q_den * p_den ** max(len(q_nums) - 1, 0)
-    coeffs = _binomial_coeffs(acc, den, p.nvars)
-    return MultiPolyfract((0,), p.nvars, _join_slots([coeffs]))
+    if not q.coeffs or not p.terms:
+        return MultiPolyfract.constant((q.coefficient(0),), (0,), p.nvars)
+    (flat,), shape = p._box()
+    top = len(q.coeffs) - 1
+    sizes = tuple(top * (m - 1) + 1 for m in shape)
+    values = box_values(flat, shape, sizes, 0)
+    nums, den = _to_monomial(q.coeffs, top)[::-1], factorial(top)
+    at = {v: reduce(lambda acc, c: acc * v + c, nums, 0) // den for v in set(values)}
+    coeffs = box_coeffs([at[v] for v in values], sizes, 0)
+    return MultiPolyfract._trusted((0,), p.nvars, _box_terms([coeffs], sizes))
+
+
+def _box_terms(slots: Sequence[list[int]], sizes: Sequence[int]) -> tuple:
+    """Sorted terms from one row-major coefficient list per slot on the box
+    prod_j [0..sizes[j]); row-major order is exponent order."""
+    return tuple(term for term in zip(product(*map(range, sizes)), zip(*slots))
+                 if any(term[1]))
 
 
 def grid_vanish_equiv(p: MultiPolyfract, bounds: Sequence[int]) -> tuple[bool, bool]:

@@ -21,16 +21,19 @@ monomial-basis edge.
 
 Whole value tables come from ``table_values``, the inverse of the
 forward-difference transform: iterated prefix sums of the differences
-at the first point, with no binomial per point.
+at the first point, with no binomial per point.  ``box_values`` and
+``box_coeffs`` are the same pair on a box of n variables, one axis at a
+time on one flat integer list: coefficients to values, and the difference
+triangle back.  ``MultiPolyfract``'s product and ``compose`` run on them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial, lcm, prod
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
@@ -40,6 +43,8 @@ __all__ = [
     "RationalPoly",
     "UniPolyfract",
     "binom_poly",
+    "box_coeffs",
+    "box_values",
     "coeffs_from_values",
     "table_values",
 ]
@@ -97,11 +102,88 @@ def table_values(coeffs: Sequence[int], modulus: int, start: int,
         return []
     if not coeffs:
         return [0] * n
-    diffs = coeffs if start == 0 else _differences_at(coeffs, start)
+    row = _prefix_rows(coeffs if start == 0 else _differences_at(coeffs, start), n, None)
+    return [v % modulus for v in row] if modulus else row
+
+
+def _prefix_rows(diffs: Sequence, n: int, plus: Callable | None) -> list:
+    """The n values at 0..n-1 whose differences at 0 are diffs (at least
+    one): the difference triangle run backwards, one prefix sum per row.
+    ``plus`` adds two entries, which are whole slabs of ints; None adds
+    ints, which ``accumulate`` does fastest with no function."""
     row = [diffs[-1]] * n
     for d in reversed(diffs[:-1]):
-        row = list(accumulate(row[:-1], initial=d))
-    return [v % modulus for v in row] if modulus else row
+        row = list(accumulate(row[:-1], plus, initial=d))
+    return row
+
+
+def _triangle(row: Sequence, n: int, minus: Callable) -> list:
+    """Delta^k f(0) for k = 0..n-1 from the values row = f(0..m-1),
+    n <= m: each row of the difference triangle gives its first entry and
+    the differences of its neighbours.  ``minus`` subtracts two entries,
+    which are ints or whole slabs of ints."""
+    out = []
+    for _ in range(n):
+        out.append(row[0])
+        row = list(map(minus, row[1:], row[:-1]))
+    return out
+
+
+# The entry operations of the two box kernels: (on ints, on slabs of ints).
+_SUMS = (None, lambda a, b: list(map(add, a, b)))
+_DIFFERENCES = (sub, lambda a, b: list(map(sub, a, b)))
+
+
+def _by_axis(flat: Sequence[int], shape: Sequence[int], sizes: Sequence[int],
+             step: Callable, ops: tuple, modulus: int) -> list[int]:
+    """Run a univariate ``step(row, n, op)`` along every axis of a box.
+
+    ``flat`` holds the box prod_j [0..shape[j]) in row-major order (the
+    last index fastest); axis j comes out with sizes[j] entries.  The
+    axes are taken last first, and each step moves its axis to the front,
+    so after all of them the order is row-major again.  Few long lines are
+    stepped one at a time on ints (one variable is a single line), with
+    op = ops[0]; many lines are stepped together, each row entry a slab
+    holding that entry of every line, so one call of op = ops[1] covers
+    all lines.  The result is reduced mod modulus after each axis and
+    stays in Z for modulus 0.
+    """
+    for m, n in zip(reversed(shape), reversed(sizes)):
+        lines = len(flat) // m
+        if 2 * lines < m:
+            out = [step(flat[i:i + m], n, ops[0]) for i in range(0, len(flat), m)]
+            flat = out[0] if lines == 1 else list(chain.from_iterable(zip(*out)))
+        else:
+            out = step([flat[i::m] for i in range(m)], n, ops[1])
+            flat = list(chain.from_iterable(out))
+        if modulus:
+            flat = [v % modulus for v in flat]
+    if not shape:
+        flat = [v % modulus for v in flat] if modulus else list(flat)
+    return flat
+
+
+def box_values(coeffs: Sequence[int], shape: Sequence[int], sizes: Sequence[int],
+               modulus: int) -> list[int]:
+    """Values on the box prod_j [0..sizes[j]) of sum_e c_e*prod_j C(x_j, e_j),
+    reduced mod modulus (integers for modulus 0).
+
+    ``coeffs`` holds c_e on the box prod_j [0..shape[j]) in row-major
+    order, and the values come out in the same order.  Each axis is
+    ``table_values``' backward triangle on every line along it.
+    """
+    return _by_axis(coeffs, shape, sizes, _prefix_rows, _SUMS, modulus)
+
+
+def box_coeffs(values: Sequence[int], sizes: Sequence[int], modulus: int) -> list[int]:
+    """Binomial coefficients Delta^e f(0) of a polynomial of degree below
+    sizes[j] in each variable, from its values on the box
+    prod_j [0..sizes[j]) in row-major order; the inverse of ``box_values``.
+
+    The forward difference triangle runs on every line along each axis in
+    turn; entries are reduced mod modulus (integers for modulus 0).
+    """
+    return _by_axis(values, sizes, sizes, _triangle, _DIFFERENCES, modulus)
 
 
 def _differences_at(coeffs: Sequence[int], start: int) -> list[int]:
@@ -381,9 +463,5 @@ def coeffs_from_values(values: Sequence[Residue]) -> tuple[Residue, ...]:
     for v in values[1:]:
         if v.modulus != modulus:
             raise ModulusMismatch("values do not share a modulus")
-    out = []
-    row = [v.value for v in values]
-    while row:
-        out.append(Residue(row[0], modulus))
-        row = list(map(sub, row[1:], row[:-1]))
-    return tuple(out)
+    diffs = _triangle([v.value for v in values], len(values), sub)
+    return tuple(Residue(d, modulus) for d in diffs)

@@ -2,8 +2,9 @@
 
 Copies ``src/`` and ``tests/`` to a temporary directory, applies one
 mutant at a time to the copy, runs the test files that should kill it and
-reports every mutant that survives.  Stdlib only; pytest does not collect
-this file.  Run from anywhere:
+reports every mutant that survives.  Hypothesis tests run only their
+explicit examples there, so the verdict is the same on every run.  Stdlib
+only; pytest does not collect this file.  Run from anywhere:
 
     python tests/mutation.py
 
@@ -34,15 +35,21 @@ class Mutant(NamedTuple):
 
 CALCULUS = "src/polyfract/calculus.py"
 CERTIFY = "src/polyfract/certify.py"
+MULTI = "src/polyfract/multi.py"
+UNI = "src/polyfract/uni.py"
 KERNELS = "tests/test_interp_kernels.py::"
+BOX = "tests/test_kernels.py::TestBoxKernels"
+PRODUCT = ("tests/test_kernels.py::TestMultivariate::test_product_cases",
+           "tests/test_kernels.py::TestMultivariate::test_dense_one_variable_matches_univariate",
+           "tests/test_kernels.py::TestMultivariate::test_compose_case")
 
 MUTANTS = (
     # whole-table evaluation and the brute-force oracle's enumeration
-    Mutant("wrong C(start, i) row", "src/polyfract/uni.py",
+    Mutant("wrong C(start, i) row", UNI,
            "row.append(row[-1] * (start - i + 1) // i)",
            "row.append(row[-1] * (start - i) // i)",
            (KERNELS + "TestTableValues",)),
-    Mutant("dropped last value", "src/polyfract/uni.py",
+    Mutant("dropped last value", UNI,
            "row = [diffs[-1]] * n",
            "row = [diffs[-1]] * (n - 1)",
            (KERNELS + "TestTableValues",)),
@@ -81,27 +88,52 @@ MUTANTS = (
            "for _ in range(steps):",
            "for _ in range(steps - 1):",
            ("tests/test_calculus.py::TestTaylor",)),
-    Mutant("triangle reads the wrong end of its row", "src/polyfract/uni.py",
-           "out.append(Residue(row[0], modulus))",
-           "out.append(Residue(row[-1], modulus))",
+    Mutant("triangle reads the wrong end of its row", UNI,
+           "out.append(row[0])",
+           "out.append(row[-1])",
            ("tests/test_uni.py::TestCoeffsFromValues",)),
+    # the degree-box kernels behind the product and compose
+    Mutant("one axis skipped", UNI,
+           "for m, n in zip(reversed(shape), reversed(sizes)):",
+           "for m, n in zip(reversed(shape[1:]), reversed(sizes[1:])):",
+           (BOX,)),
+    Mutant("triangle stops one row short", UNI,
+           "for _ in range(n):",
+           "for _ in range(n - 1):",
+           (BOX,)),
+    Mutant("long lines joined without the transpose", UNI,
+           "flat = out[0] if lines == 1 else list(chain.from_iterable(zip(*out)))",
+           "flat = out[0] if lines == 1 else list(chain.from_iterable(out))",
+           (BOX,)),
+    Mutant("box reduction after each axis dropped", UNI,
+           "        if modulus:\n            flat = [v % modulus for v in flat]\n",
+           "",
+           (BOX,)),
+    Mutant("product box one short of the degree sum", MULTI,
+           "sizes = tuple(x + y - 1 for x, y in zip(shape_a, shape_b))",
+           "sizes = tuple(x + y - 2 for x, y in zip(shape_a, shape_b))",
+           PRODUCT),
+    Mutant("compose box sized by p's degree alone", MULTI,
+           "sizes = tuple(top * (m - 1) + 1 for m in shape)",
+           "sizes = tuple(m for m in shape)",
+           PRODUCT),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
            "col = _difference(col, r, f.domain_moduli, var, 1)",
            "col = _difference(col, r, f.domain_moduli, 0, 1)",
-           (KERNELS + "TestDeltaPower",)),
+           (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("k = 1 returned unchanged", CALCULUS,
            "for _ in range(k):",
            "for _ in range(k if k != 1 else 0):",
-           (KERNELS + "TestDeltaPower",)),
+           (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("wrong _shifted cut", CALCULUS,
            "cut = step * block % span",
            "cut = step % span",
-           (KERNELS + "TestApplyDiff",)),
+           (KERNELS + "TestApplyDiffCases",)),
     Mutant("difference reduction dropped", CALCULUS,
            "return tuple([v % r for v in diff]) if r else tuple(diff)",
            "return tuple(diff)",
-           (KERNELS + "TestApplyDiff",)),
+           (KERNELS + "TestApplyDiffCases",)),
     # the column format
     Mutant("constructor reduction dropped", CALCULUS,
            "tuple([v % r for v in map(index, col)]) if r else tuple(map(index, col))",
@@ -110,7 +142,7 @@ MUTANTS = (
     Mutant("is_zero reads only the first column", CALCULUS,
            "return not any(map(any, self.columns))",
            "return not any(map(any, self.columns[:1]))",
-           (KERNELS + "TestTaylorExpandMulti",)),
+           (KERNELS + "TestColumnFormat::test_is_zero_reads_every_column",)),
     Mutant("transposed values view", CALCULUS,
            "return tuple(zip(*self.columns)) or",
            "return tuple(self.columns) or",
@@ -118,7 +150,7 @@ MUTANTS = (
     Mutant("problem file digits in the wrong order", "src/polyfract/cli.py",
            "w = prod(codomain[k + 1:])",
            "w = prod(codomain[:k])",
-           ("tests/test_cli.py::TestProblemFiles",)),
+           ("tests/test_cli.py::TestProblemFiles::test_tuple_codomain_decoding",)),
     Mutant("leftover arguments reported by the one-command parser", "src/polyfract/cli.py",
            "args = build_parser().parse_args(argv)",
            "pass",
@@ -143,13 +175,13 @@ MUTANTS = (
 # Mutants that change no result, so no test can kill them, with the reason.
 EQUIVALENT: dict[str, str] = {}
 
-# Loaded by the copied tests: no shrinking and no example database, so a
-# failing mutant stops at its first counterexample.
+# Loaded by the copied tests: every ``@given`` test runs only its
+# ``@example`` cases, so each mutant needs a deterministic killer and a
+# verdict never rests on a random draw.
 CONFTEST = """\
 from hypothesis import Phase, settings
 
-settings.register_profile("mutation", database=None,
-                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+settings.register_profile("mutation", database=None, phases=(Phase.explicit,))
 settings.load_profile("mutation")
 """
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -69,10 +70,10 @@ class TestProblemFiles:
         assert table.value((1, 3)) == ((25 + 3) % 12,)
 
     def test_tuple_codomain_decoding(self):
-        doc = {"domain": [2], "codomain": [4, 3], "values": [11, 0]}
+        doc = {"domain": [3], "codomain": [4, 3], "values": [11, 0, 5]}
         table = parse_problem(json.dumps(doc))
-        # 11 = 3*3 + 2 in mixed radix over (4, 3)
-        assert table.values == ((3, 2), (0, 0))
+        # 11 = 3*3 + 2 and 5 = 1*3 + 2 in mixed radix over (4, 3)
+        assert table.values == ((3, 2), (0, 0), (1, 2))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -532,6 +533,16 @@ class TestLongResults:
         path = problem_file('{"basis": "binomial", "vars": 1, "codomain": [0], '
                             '"terms": [[[3000], ["1"]]]}')
         self.assert_too_large(run, "eval", path, "--at", "100000")
+
+    def test_monomial_output_rejected_before_the_expansion(self, run):
+        # x^2047 has coefficient 1/2047!, 5,886 digits below the line; the
+        # whole expansion took seconds before it failed to print
+        start = time.perf_counter()
+        code, out, err = run("lagrange", "2", "11", "1", "0", "--basis", "monomial")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err == ("error: result has more than 4300 digits, the most Python "
+                       "prints; PYTHONINTMAXSTRDIGITS raises the limit\n")
 
     @pytest.mark.parametrize("basis", ["binomial", "monomial"])
     def test_emit_polynomial(self, basis):

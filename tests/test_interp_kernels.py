@@ -79,6 +79,7 @@ class TestCofract:
            st.integers(-40, 40))
     @example(200, 16, 0, -40)  # Z: the unreduced sum
     @example(37, 3, 1, 5)  # the trivial group
+    @example(9, 2, 7, 1)  # a sum of -256 reduced mod 7
     def test_matches_definition(self, d, q, r, x):
         got = cofract(d, q, r, x)
         v = ref_cofract(d, q, r, x)
@@ -162,6 +163,7 @@ def prime_power_tables(draw):
 class TestInterpolation:
     @settings(max_examples=150, deadline=None)
     @given(prime_power_tables())
+    @example(FiniteFn((4, 2), (8,), tuple((v,) for v in (1, 6, 3, 0, 7, 2, 5, 4))))
     def test_matches_cofract_sum(self, f):
         g = interpolate_prime_power(f)
         assert g == ref_interpolate_prime_power(f)
@@ -254,6 +256,7 @@ class TestColumnFormat:
 
     @settings(max_examples=100, deadline=None)
     @given(format_tables())
+    @example(((3,), (4, 9), [(1, 2), (3, 4), (5, 6)]))
     def test_routes_agree(self, table):
         domain, codomain, rows = table
         by_rows = FiniteFn(domain, codomain, rows)
@@ -311,6 +314,11 @@ class TestColumnFormat:
         row = f.values[f.index(x)]
         assert got == (row, tuple(map(Residue, row, codomain)))
 
+    def test_is_zero_reads_every_column(self):
+        assert not FiniteFn((2,), (3, 5), ((0, 0), (0, 4))).is_zero()
+        assert FiniteFn((2,), (3, 5), ((0, 0), (0, 5))).is_zero()
+        assert FiniteFn((2,), (), [(), ()]).is_zero()
+
     def test_lookups_on_width_zero(self):
         f = FiniteFn((3, 2), (), [()] * 6)
         assert f.value((2, 1)) == () and f.residues((2, 1)) == ()
@@ -335,7 +343,28 @@ class TestApplyDiff:
                 assert FiniteFn(h.domain_moduli, h.codomain_moduli, h.values) == h
 
 
+# A two-variable table into Z_4 x Z, with values that wrap mod 4.
+TWO_VARIABLE = FiniteFn((3, 4), (4, 0), tuple((x * x + 3 * y, 5 * x - y * y * x)
+                                              for x in range(3) for y in range(4)))
+
+
+class TestApplyDiffCases:
+    @pytest.mark.parametrize("var", [0, 1])
+    @pytest.mark.parametrize("kind, stride", [("shift", 1), ("shift", 2), ("delta", 1),
+                                              ("stride", 3)])
+    def test_two_variable_table(self, var, kind, stride):
+        op = DiffOp(kind, var, stride)
+        assert apply_diff(op, TWO_VARIABLE) == ref_apply_diff(op, TWO_VARIABLE)
+
+
 class TestDeltaPower:
+    @pytest.mark.parametrize("var", [0, 1])
+    def test_two_variable_table(self, var):
+        expected = TWO_VARIABLE
+        for k in range(4):
+            assert delta_power(TWO_VARIABLE, k, var) == expected
+            expected = ref_apply_diff(DiffOp("delta", var), expected)
+
     @settings(max_examples=150, deadline=None)
     @given(mixed_tables(), st.data())
     def test_matches_iterated_reference(self, f, data):
@@ -387,6 +416,7 @@ class TestTableValues:
     @given(st.sampled_from(EVAL_MODULI),
            st.lists(st.integers(-100, 100), max_size=12),
            st.integers(-30, 30), st.integers(-3, 40))
+    @example(9, [3, -5, 7, 2, -1], 4, 6)
     def test_matches_per_point_evaluate(self, r, coeffs, start, length):
         p = UniPolyfract(r, tuple(coeffs))
         stop = start + length

@@ -4,9 +4,12 @@ Every conversion between the binomial and the monomial basis, and every
 product routed through the monomial basis, must give the coefficients of
 the five-step route run on ``Fraction`` values (``helpers.ref_*``), and
 reject a polynomial that is not integer valued with the same message.
+The degree-box kernels behind the product and ``compose`` are checked
+against per-point evaluation and the difference sums of ``helpers``.
 """
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +24,12 @@ from polyfract import (
     merge_variables,
 )
 from polyfract.errors import NotIntegerValued
+from polyfract.uni import box_coeffs, box_values
 
 from helpers import (
     RefNotIntegerValued,
+    binom_any,
+    diff_coeffs,
     ref_binom_poly,
     ref_binomial_coeffs_multi,
     ref_compose,
@@ -76,11 +82,11 @@ def rational_polys(draw):
 
 
 @st.composite
-def multi_polyfracts(draw, nvars=None, codomain=None, max_exp=4, max_terms=6):
+def multi_polyfracts(draw, nvars=None, codomain=None, max_exp=4, max_terms=6, max_width=2):
     if nvars is None:
         nvars = draw(st.integers(0, 3))
     if codomain is None:
-        codomain = tuple(draw(st.lists(moduli, min_size=1, max_size=2)))
+        codomain = tuple(draw(st.lists(moduli, min_size=1, max_size=max_width)))
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
@@ -99,6 +105,43 @@ class TestStirlingRows:
         assert len(row) == 1101 and row[0] == 0
         assert row[1] == Fraction(-1, 1100)  # (-1)^(d-1)/d
         assert row[1100] == Fraction(1, factorial(1100))
+
+
+def box_reference(coeffs, shape, sizes, r):
+    """Values on the box by evaluating every point on its own."""
+    exps = list(product(*map(range, shape)))
+    out = []
+    for x in product(*map(range, sizes)):
+        v = sum(c * prod(map(binom_any, x, e)) for c, e in zip(coeffs, exps))
+        out.append(v % r if r else v)
+    return out
+
+
+class TestBoxKernels:
+    # shapes that step one line (one variable), a few long lines one at a
+    # time (2 lines of 9), many lines as slabs, and no axis at all
+    CASES = [((7,), (13,)), ((2, 9), (3, 17)), ((4, 3), (7, 5)),
+             ((2, 3, 2), (3, 5, 4)), ((), ())]
+
+    @pytest.mark.parametrize("shape, sizes", CASES)
+    @pytest.mark.parametrize("r", [0, 1, 6, 97])
+    def test_values_and_back(self, shape, sizes, r):
+        coeffs = [(5 * i * i + 3 * i + 1) % 23 - 11 for i in range(prod(shape))]
+        coeffs = [c % r for c in coeffs] if r else coeffs
+        values = box_values(coeffs, shape, sizes, r)
+        assert values == box_reference(coeffs, shape, sizes, r)
+        # back to the coefficients, zero outside the operand's own box
+        padded = dict(zip(product(*map(range, shape)), coeffs))
+        assert box_coeffs(values, sizes, r) == [
+            padded.get(e, 0) for e in product(*map(range, sizes))]
+
+    def test_triangle_is_the_difference_sums(self):
+        values = [(x ** 3 - 7 * x) * (-1) ** x for x in range(12)]
+        assert box_coeffs(values, (12,), 0) == diff_coeffs(values)
+        grid = [x * x * y - 3 * y ** 3 + x for x in range(4) for y in range(5)]
+        rows = [diff_coeffs(grid[5 * x:5 * x + 5]) for x in range(4)]
+        want = [diff_coeffs([row[j] for row in rows]) for j in range(5)]
+        assert box_coeffs(grid, (4, 5), 0) == [want[j][i] for i in range(4) for j in range(5)]
 
 
 class TestUnivariate:
@@ -192,20 +235,68 @@ class TestMultivariate:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_product(self, data):
-        a = data.draw(multi_polyfracts(max_exp=3, max_terms=5))
+        a = data.draw(multi_polyfracts(max_exp=6, max_terms=12, max_width=3))
         b = data.draw(multi_polyfracts(nvars=a.nvars, codomain=a.codomain,
-                                       max_exp=3, max_terms=5))
+                                       max_exp=6, max_terms=12))
         slots = ref_multi_mul(a.terms, b.terms, a.width, a.nvars)
         assert a * b == _from_slots(slots, a.codomain, a.nvars)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_compose(self, data):
-        q = UniPolyfract(0, tuple(data.draw(st.lists(st.integers(-20, 20), max_size=5))))
+        q = UniPolyfract(0, tuple(data.draw(st.lists(st.integers(-20, 20), max_size=7))))
         p = data.draw(multi_polyfracts(nvars=data.draw(st.integers(0, 3)), codomain=(0,),
-                                       max_exp=2, max_terms=4))
+                                       max_exp=3, max_terms=4))
         want = ref_compose(q.coeffs, p.terms, p.nvars)
         assert compose(q, p) == _from_slots([want], (0,), p.nvars)
+
+    @pytest.mark.parametrize("codomain, a, b", [
+        # no variables: constants multiply slot by slot
+        ((7, 0), (((), (3, -4)),), (((), (5, 7)),)),
+        # a modulus-1 slot reads 0 beside a modulus-0 slot
+        ((1, 0), (((1, 0), (0, 2)), ((0, 1), (0, -1))), (((1, 1), (0, 3)),)),
+    ])
+    def test_product_cases(self, codomain, a, b):
+        nvars = len(a[0][0])
+        a, b = (MultiPolyfract(codomain, nvars, t) for t in (a, b))
+        want = _from_slots(ref_multi_mul(a.terms, b.terms, 2, nvars), codomain, nvars)
+        assert a * b == want == b * a
+
+    def test_product_with_zero(self):
+        a = MultiPolyfract((6, 0), 2, (((2, 1), (5, -3)), ((0, 0), (1, 1))))
+        zero = MultiPolyfract.zero((6, 0), 2)
+        assert a * zero == zero == zero * a and zero * zero == zero
+        # a product whose every coefficient reduces away
+        two = MultiPolyfract((4,), 1, (((1,), (2,)),))
+        assert (two * two).is_zero()
+
+    @pytest.mark.parametrize("r", [0, 1, 97, 2**61 - 1])
+    def test_dense_one_variable_matches_univariate(self, r):
+        a = UniPolyfract(r, tuple((7 * d * d + 3) % 101 - 50 for d in range(41)))
+        b = UniPolyfract(r, tuple((5 * d + 11) % 89 - 44 for d in range(41)))
+        got = MultiPolyfract.from_uni(a) * MultiPolyfract.from_uni(b)
+        assert got == MultiPolyfract.from_uni(a * b)
+        assert got.degrees()[0] == (80 if r != 1 else None)
+
+    def test_compose_constant_and_zero(self):
+        p = MultiPolyfract((0,), 2, (((3, 1), (4,)), ((0, 2), (-1,))))
+        for coeffs in ((5,), (-2,), ()):
+            q = UniPolyfract(0, coeffs)
+            assert compose(q, p) == MultiPolyfract.constant(coeffs or (0,), (0,), 2)
+        # the zero polyfract substituted into q gives q(0)
+        q = UniPolyfract(0, (4, 1, 7))
+        assert compose(q, MultiPolyfract.zero((0,), 3)) == MultiPolyfract.constant((4,), (0,), 3)
+        # and one with no variables is a number
+        assert compose(q, MultiPolyfract.constant((5,), (0,), 0)) == \
+            MultiPolyfract.constant((4 + 5 + 7 * 10,), (0,), 0)
+
+    def test_compose_case(self):
+        # C(X, 2) of 2 C(x, 1) C(y, 1) - C(y, 2), checked against the reference
+        q = UniPolyfract(0, (0, 0, 1))
+        p = MultiPolyfract((0,), 2, (((1, 1), (2,)), ((0, 2), (-1,))))
+        want = _from_slots([ref_compose(q.coeffs, p.terms, 2)], (0,), 2)
+        assert compose(q, p) == want
+        assert want.degrees()[1] == (2, 4)
 
     @given(multi_polyfracts(max_exp=5))
     @settings(max_examples=120, deadline=None)

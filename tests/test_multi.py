@@ -195,6 +195,12 @@ class TestDegrees:
         p = MultiPolyfract((9,), 2, (((2, 1), (4,)), ((0, 1), (3,))))
         assert p.difference(0) == MultiPolyfract((9,), 2, (((1, 1), (4,)),))
 
+    @pytest.mark.parametrize("var", [0.0, 1.5, "0"])
+    def test_difference_rejects_a_non_integer_variable(self, var):
+        p = MultiPolyfract((9,), 2, (((2, 1), (4,)),))
+        with pytest.raises(ArityMismatch, match="variable .* is not an integer"):
+            p.difference(var)
+
 
 class TestSupportVsMap:
     @given(st.data())
