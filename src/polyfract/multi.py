@@ -27,7 +27,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .errors import ArityMismatch, ModulusMismatch
+from .errors import ArityMismatch, ModulusMismatch, TooLarge
 from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
 from .uni import (
     RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _numerators,
@@ -41,6 +41,13 @@ __all__ = [
     "grid_vanish_equiv",
     "merge_variables",
 ]
+
+# Most points of the box a product or compose runs on.  Each point is one
+# int in each of a few flat lists at once: a square on 99**3 points peaks
+# near 140 MB on 64-bit CPython 3.11.  A larger box raises TooLarge before
+# anything is built.
+MAX_BOX_POINTS = 1 << 20
+
 
 def _normal_terms(terms, nvars: int, width: int,
                   coerce: Callable[[tuple], tuple]) -> tuple:
@@ -283,25 +290,30 @@ class MultiPolyfract:
         coefficients are the differences Delta^e (P*Q)(0) on the box
         prod_j [0..D_j]: both operands' values there (``box_values``),
         multiplied pointwise, and the difference triangle back
-        (``box_coeffs``), all in integers reduced mod r.
+        (``box_coeffs``), all in integers reduced mod r.  The cost grows
+        with the box, prod_j (D_j + 1) points times sum_j (D_j + 1), not
+        with the number of terms; a box of more than ``MAX_BOX_POINTS``
+        points raises ``TooLarge`` before any of it is built.
         """
         self._check(other)
         if not self.terms or not other.terms:
             return MultiPolyfract._trusted(self.codomain, self.nvars, ())
-        a, shape_a = self._box()
-        b, shape_b = other._box()
-        sizes = tuple(x + y - 1 for x, y in zip(shape_a, shape_b))
+        shape_a, shape_b = self._shape(), other._shape()
+        sizes = _checked_box(tuple(x + y - 1 for x, y in zip(shape_a, shape_b)))
         slots = [
             box_coeffs(list(map(mul, box_values(ca, shape_a, sizes, r),
                                 box_values(cb, shape_b, sizes, r))), sizes, r)
-            for ca, cb, r in zip(a, b, self.codomain)
+            for ca, cb, r in zip(self._box(shape_a), other._box(shape_b), self.codomain)
         ]
         return MultiPolyfract._trusted(self.codomain, self.nvars, _box_terms(slots, sizes))
 
-    def _box(self) -> tuple[list[list[int]], tuple[int, ...]]:
-        """The coefficients on the box prod_j [0..deg_j], one row-major
-        flat list per slot, and the box's shape; needs a nonzero self."""
-        shape = tuple(max(col) + 1 for col in zip(*(exp for exp, _ in self.terms)))
+    def _shape(self) -> tuple[int, ...]:
+        """deg_j + 1 for each variable j; needs a nonzero self."""
+        return tuple(max(col) + 1 for col in zip(*(exp for exp, _ in self.terms)))
+
+    def _box(self, shape: tuple[int, ...]) -> list[list[int]]:
+        """The coefficients on the box prod_j [0..shape[j]), one row-major
+        flat list per slot; ``shape`` is ``self._shape()``."""
         strides = [1] * self.nvars
         for j in range(self.nvars - 1, 0, -1):
             strides[j - 1] = strides[j] * shape[j]
@@ -310,7 +322,7 @@ class MultiPolyfract:
             at = sum(map(mul, exp, strides))
             for flat, c in zip(flats, coeffs):
                 flat[at] = c
-        return flats, shape
+        return flats
 
     def to_rational(self, lift: str = "balanced") -> RationalPolyMulti:
         """Monomial-basis representative with rational tuple coefficients."""
@@ -339,20 +351,33 @@ def compose(q: UniPolyfract, p: MultiPolyfract) -> MultiPolyfract:
     at most D_j = deg(q) * deg_j(p) in variable j.  Its coefficients are
     the differences on the box prod_j [0..D_j]: p's values there
     (``box_values``), q evaluated at each distinct value, and the
-    difference triangle back (``box_coeffs``).
+    difference triangle back (``box_coeffs``).  As for the product, the
+    cost grows with the box, and one of more than ``MAX_BOX_POINTS``
+    points raises ``TooLarge`` before any of it is built.
     """
     if q.modulus != 0 or p.codomain != (0,):
         raise ModulusMismatch("composition is defined over modulus 0 only")
     if not q.coeffs or not p.terms:
         return MultiPolyfract.constant((q.coefficient(0),), (0,), p.nvars)
-    (flat,), shape = p._box()
+    shape = p._shape()
     top = len(q.coeffs) - 1
-    sizes = tuple(top * (m - 1) + 1 for m in shape)
+    sizes = _checked_box(tuple(top * (m - 1) + 1 for m in shape))
+    (flat,) = p._box(shape)
     values = box_values(flat, shape, sizes, 0)
     nums, den = _to_monomial(q.coeffs, top)[::-1], factorial(top)
     at = {v: reduce(lambda acc, c: acc * v + c, nums, 0) // den for v in set(values)}
     coeffs = box_coeffs([at[v] for v in values], sizes, 0)
     return MultiPolyfract._trusted((0,), p.nvars, _box_terms([coeffs], sizes))
+
+
+def _checked_box(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The box sizes, once their product is known to be at most
+    ``MAX_BOX_POINTS``; otherwise TooLarge."""
+    points = prod(sizes)
+    if points > MAX_BOX_POINTS:
+        raise TooLarge(f"degree box {' x '.join(map(str, sizes))} has {points} "
+                       f"points, more than {MAX_BOX_POINTS}")
+    return sizes
 
 
 def _box_terms(slots: Sequence[list[int]], sizes: Sequence[int]) -> tuple:

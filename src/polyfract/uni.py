@@ -102,60 +102,55 @@ def table_values(coeffs: Sequence[int], modulus: int, start: int,
         return []
     if not coeffs:
         return [0] * n
-    row = _prefix_rows(coeffs if start == 0 else _differences_at(coeffs, start), n, None)
+    diffs = coeffs if start == 0 else _differences_at(coeffs, start)
+    row = [diffs[-1]] * n
+    for d in reversed(diffs[:-1]):
+        row = list(accumulate(row[:-1], initial=d))
     return [v % modulus for v in row] if modulus else row
 
 
-def _prefix_rows(diffs: Sequence, n: int, plus: Callable | None) -> list:
-    """The n values at 0..n-1 whose differences at 0 are diffs (at least
-    one): the difference triangle run backwards, one prefix sum per row.
-    ``plus`` adds two entries, which are whole slabs of ints; None adds
-    ints, which ``accumulate`` does fastest with no function."""
-    row = [diffs[-1]] * n
-    for d in reversed(diffs[:-1]):
-        row = list(accumulate(row[:-1], plus, initial=d))
-    return row
-
-
-def _triangle(row: Sequence, n: int, minus: Callable) -> list:
-    """Delta^k f(0) for k = 0..n-1 from the values row = f(0..m-1),
-    n <= m: each row of the difference triangle gives its first entry and
-    the differences of its neighbours.  ``minus`` subtracts two entries,
-    which are ints or whole slabs of ints."""
-    out = []
-    for _ in range(n):
-        out.append(row[0])
-        row = list(map(minus, row[1:], row[:-1]))
+def _values_along(col: list[int], n: int, width: int) -> list[int]:
+    """Values at x = 0..n-1 of ``width`` lines at once, from their
+    differences at 0: block k of ``col`` (``width`` entries, one per line)
+    holds Delta^k of every line.  Each step is one Newton step,
+    Delta^k f(x+1) = Delta^k f(x) + Delta^(k+1) f(x), on the whole column;
+    block 0 is f(x).  The values come out block by block as well."""
+    out = col[:width]
+    for _ in range(n - 1):
+        col[:-width] = map(add, col, col[width:])
+        out += col[:width]
     return out
 
 
-# The entry operations of the two box kernels: (on ints, on slabs of ints).
-_SUMS = (None, lambda a, b: list(map(add, a, b)))
-_DIFFERENCES = (sub, lambda a, b: list(map(sub, a, b)))
+def _triangle(row: list[int], n: int, width: int) -> list[int]:
+    """Delta^k f(0) for k = 0..n-1 of ``width`` lines at once, from their
+    values: block x of ``row`` (``width`` entries, one per line) holds
+    f(x), and n is at most the number of blocks.  Each row of the
+    difference triangle gives its first block and the differences of its
+    neighbouring blocks.  The differences come out block by block."""
+    out = []
+    for _ in range(n):
+        out += row[:width]
+        row = list(map(sub, row[width:], row))
+    return out
 
 
 def _by_axis(flat: Sequence[int], shape: Sequence[int], sizes: Sequence[int],
-             step: Callable, ops: tuple, modulus: int) -> list[int]:
-    """Run a univariate ``step(row, n, op)`` along every axis of a box.
+             step: Callable[[list[int], int, int], list[int]],
+             modulus: int) -> list[int]:
+    """Run ``step(column, n, width)`` along every axis of a box.
 
     ``flat`` holds the box prod_j [0..shape[j]) in row-major order (the
     last index fastest); axis j comes out with sizes[j] entries.  The
-    axes are taken last first, and each step moves its axis to the front,
-    so after all of them the order is row-major again.  Few long lines are
-    stepped one at a time on ints (one variable is a single line), with
-    op = ops[0]; many lines are stepped together, each row entry a slab
-    holding that entry of every line, so one call of op = ops[1] covers
-    all lines.  The result is reduced mod modulus after each axis and
-    stays in Z for modulus 0.
+    axes are taken last first: each is moved to the front, so that its
+    m entries become m blocks holding that entry of every line along it,
+    and ``step`` covers all lines at once.  After all axes the order is
+    row-major again.  The result is reduced mod modulus after each axis
+    and stays in Z for modulus 0.
     """
     for m, n in zip(reversed(shape), reversed(sizes)):
-        lines = len(flat) // m
-        if 2 * lines < m:
-            out = [step(flat[i:i + m], n, ops[0]) for i in range(0, len(flat), m)]
-            flat = out[0] if lines == 1 else list(chain.from_iterable(zip(*out)))
-        else:
-            out = step([flat[i::m] for i in range(m)], n, ops[1])
-            flat = list(chain.from_iterable(out))
+        column = list(chain.from_iterable(flat[i::m] for i in range(m)))
+        flat = step(column, n, len(flat) // m)
         if modulus:
             flat = [v % modulus for v in flat]
     if not shape:
@@ -169,10 +164,11 @@ def box_values(coeffs: Sequence[int], shape: Sequence[int], sizes: Sequence[int]
     reduced mod modulus (integers for modulus 0).
 
     ``coeffs`` holds c_e on the box prod_j [0..shape[j]) in row-major
-    order, and the values come out in the same order.  Each axis is
-    ``table_values``' backward triangle on every line along it.
+    order, and the values come out in the same order.  Each axis takes
+    sizes[j] Newton steps on every line along it; the work is about
+    prod(sizes) * sum(shape) additions.
     """
-    return _by_axis(coeffs, shape, sizes, _prefix_rows, _SUMS, modulus)
+    return _by_axis(coeffs, shape, sizes, _values_along, modulus)
 
 
 def box_coeffs(values: Sequence[int], sizes: Sequence[int], modulus: int) -> list[int]:
@@ -181,9 +177,10 @@ def box_coeffs(values: Sequence[int], sizes: Sequence[int], modulus: int) -> lis
     prod_j [0..sizes[j]) in row-major order; the inverse of ``box_values``.
 
     The forward difference triangle runs on every line along each axis in
-    turn; entries are reduced mod modulus (integers for modulus 0).
+    turn, about prod(sizes) * sum(sizes) / 2 subtractions; entries are
+    reduced mod modulus (integers for modulus 0).
     """
-    return _by_axis(values, sizes, sizes, _triangle, _DIFFERENCES, modulus)
+    return _by_axis(values, sizes, sizes, _triangle, modulus)
 
 
 def _differences_at(coeffs: Sequence[int], start: int) -> list[int]:
@@ -463,5 +460,5 @@ def coeffs_from_values(values: Sequence[Residue]) -> tuple[Residue, ...]:
     for v in values[1:]:
         if v.modulus != modulus:
             raise ModulusMismatch("values do not share a modulus")
-    diffs = _triangle([v.value for v in values], len(values), sub)
+    diffs = _triangle([v.value for v in values], len(values), 1)
     return tuple(Residue(d, modulus) for d in diffs)

@@ -89,8 +89,8 @@ MUTANTS = (
            "for _ in range(steps - 1):",
            ("tests/test_calculus.py::TestTaylor",)),
     Mutant("triangle reads the wrong end of its row", UNI,
-           "out.append(row[0])",
-           "out.append(row[-1])",
+           "out += row[:width]",
+           "out += row[-width:]",
            ("tests/test_uni.py::TestCoeffsFromValues",)),
     # the degree-box kernels behind the product and compose
     Mutant("one axis skipped", UNI,
@@ -101,22 +101,30 @@ MUTANTS = (
            "for _ in range(n):",
            "for _ in range(n - 1):",
            (BOX,)),
-    Mutant("long lines joined without the transpose", UNI,
-           "flat = out[0] if lines == 1 else list(chain.from_iterable(zip(*out)))",
-           "flat = out[0] if lines == 1 else list(chain.from_iterable(out))",
+    Mutant("axis stepped without moving it to the front", UNI,
+           "column = list(chain.from_iterable(flat[i::m] for i in range(m)))",
+           "column = list(flat)",
+           (BOX,)),
+    Mutant("Newton step adds the neighbouring line", UNI,
+           "col[:-width] = map(add, col, col[width:])",
+           "col[:-width] = map(add, col, col[1:])",
            (BOX,)),
     Mutant("box reduction after each axis dropped", UNI,
            "        if modulus:\n            flat = [v % modulus for v in flat]\n",
            "",
            (BOX,)),
     Mutant("product box one short of the degree sum", MULTI,
-           "sizes = tuple(x + y - 1 for x, y in zip(shape_a, shape_b))",
-           "sizes = tuple(x + y - 2 for x, y in zip(shape_a, shape_b))",
+           "tuple(x + y - 1 for x, y in zip(shape_a, shape_b))",
+           "tuple(x + y - 2 for x, y in zip(shape_a, shape_b))",
            PRODUCT),
     Mutant("compose box sized by p's degree alone", MULTI,
-           "sizes = tuple(top * (m - 1) + 1 for m in shape)",
-           "sizes = tuple(m for m in shape)",
+           "tuple(top * (m - 1) + 1 for m in shape)",
+           "tuple(m for m in shape)",
            PRODUCT),
+    Mutant("box limit doubled", MULTI,
+           "if points > MAX_BOX_POINTS:",
+           "if points > 2 * MAX_BOX_POINTS:",
+           ("tests/test_multi.py::TestRingOps::test_box_limit_counts_product_points",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
            "col = _difference(col, r, f.domain_moduli, var, 1)",

@@ -118,8 +118,8 @@ def box_reference(coeffs, shape, sizes, r):
 
 
 class TestBoxKernels:
-    # shapes that step one line (one variable), a few long lines one at a
-    # time (2 lines of 9), many lines as slabs, and no axis at all
+    # shapes with one line (one variable), a few long lines (2 lines of
+    # 9), many short lines, and no axis at all
     CASES = [((7,), (13,)), ((2, 9), (3, 17)), ((4, 3), (7, 5)),
              ((2, 3, 2), (3, 5, 4)), ((), ())]
 

@@ -14,7 +14,8 @@ from polyfract import (
     grid_vanish_equiv,
     merge_variables,
 )
-from polyfract.errors import ArityMismatch, ModulusMismatch
+from polyfract import multi
+from polyfract.errors import ArityMismatch, ModulusMismatch, TooLarge
 
 from helpers import diff_coeffs
 
@@ -107,6 +108,22 @@ class TestRingOps:
             want = tuple(a * b for a, b in zip(p.evaluate(x), q.evaluate(x)))
             assert prod_pq.evaluate(x) == want
 
+    def test_a_box_beyond_reach_is_too_large(self):
+        # the product box has 2001**3 points; a list of them would not fit
+        p = MultiPolyfract((0,), 3, (((1000, 0, 0), (1,)), ((0, 1000, 0), (1,)),
+                                     ((0, 0, 1000), (1,))))
+        with pytest.raises(TooLarge, match="2001 x 2001 x 2001 has 8012006001 points"):
+            p * p
+
+    def test_box_limit_counts_product_points(self, monkeypatch):
+        a = MultiPolyfract((0,), 2, (((1, 1), (1,)),))
+        b = MultiPolyfract((0,), 2, (((1, 2), (1,)),))
+        want = a * b
+        monkeypatch.setattr(multi, "MAX_BOX_POINTS", 12)
+        assert a * b == want  # box 3 x 4
+        with pytest.raises(TooLarge, match="3 x 5 has 15 points, more than 12"):
+            b * b
+
 
 class TestCompose:
     def test_identity(self):
@@ -127,6 +144,21 @@ class TestCompose:
         out = compose(q, p)
         assert out == MultiPolyfract.constant((7,), (0,), 1)
         assert out.degrees()[0] == 0
+
+    def test_a_box_beyond_reach_is_too_large(self):
+        q = UniPolyfract.monofract(1000, 0)
+        p = MultiPolyfract((0,), 3, (((1, 1, 1), (1,)),))
+        with pytest.raises(TooLarge, match="1001 x 1001 x 1001"):
+            compose(q, p)
+
+    def test_box_limit_counts_compose_points(self, monkeypatch):
+        p = MultiPolyfract((0,), 2, (((1, 1), (1,)),))
+        q = UniPolyfract.monofract(2, 0)
+        want = compose(q, p)
+        monkeypatch.setattr(multi, "MAX_BOX_POINTS", 9)
+        assert compose(q, p) == want  # box 3 x 3
+        with pytest.raises(TooLarge, match="4 x 4 has 16 points"):
+            compose(UniPolyfract.monofract(3, 0), p)
 
     def test_finite_modulus_rejected(self):
         with pytest.raises(ModulusMismatch):
