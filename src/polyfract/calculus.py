@@ -23,7 +23,9 @@ from .errors import (
     NotAnnihilated,
     PreconditionFailed,
 )
-from .exactnum import Residue, as_integer, binom, canonical, check_modulus, factorization
+from .exactnum import (
+    Residue, as_integer, at_least, binom, canonical, check_modulus, factorization,
+)
 from .multi import MultiPolyfract
 from .uni import UniPolyfract
 
@@ -181,9 +183,7 @@ class DiffOp:
     def __post_init__(self):
         if self.kind not in ("shift", "delta", "stride"):
             raise ValueError(f"unknown difference kind {self.kind!r}")
-        object.__setattr__(self, "stride", as_integer(self.stride, "stride"))
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        object.__setattr__(self, "stride", at_least(self.stride, 1, "stride"))
 
 
 def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> list:
@@ -253,9 +253,7 @@ def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
     """k-fold forward difference in one variable: ``_difference`` k times
     on each codomain column, one table built at the end."""
     var = _check_var(f, var)
-    k = as_integer(k, "difference power")
-    if k < 0:
-        raise ValueError("difference power must be >= 0")
+    k = at_least(k, 0, "difference power")
     columns = []
     for col, r in zip(f.columns, f.codomain_moduli):
         for _ in range(k):
@@ -269,6 +267,14 @@ def value_sum(f: FiniteFn) -> tuple[Residue, ...]:
     return tuple(Residue(sum(col), r) for col, r in zip(f.columns, f.codomain_moduli))
 
 
+def _degree_bound(d) -> int:
+    """d as an int >= 0: the d of the precondition delta^(d+1) f = 0."""
+    d = as_integer(d, "degree bound")
+    if d < 0:
+        raise ValueError(f"degree bound must be >= 0, got {d}")
+    return d
+
+
 def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     """Expand a univariate table into the polyfract with coefficients
     delta^k f(0), k = 0..d.
@@ -276,9 +282,7 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     Requires delta^(d+1) f == 0 on the whole (wrapped) domain; then the
     returned polyfract matches f at every domain point.
     """
-    d = as_integer(d, "degree bound")
-    if d < 0:
-        raise ValueError(f"degree bound must be >= 0, got {d}")
+    d = _degree_bound(d)
     if f.nvars != 1:
         raise BadDomain("taylor_expand needs a one-variable table")
     if len(f.codomain_moduli) != 1:
@@ -300,30 +304,26 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     Coefficients are the iterated differences delta_1^d1 ... delta_n^dn
     f(0) over the grid [bounds]; requires delta_j^(d_j + 1) to annihilate
     the table for every variable j separately (which pins the whole
-    coefficient support inside the grid, so the expansion reproduces f).
+    coefficient support inside the grid, so the expansion reproduces f),
+    checked first with ``delta_power``, one variable after the other.
     """
-    bounds = tuple(as_integer(d, "degree bound") for d in bounds)
+    bounds = tuple(bounds)
     if len(bounds) != f.nvars:
         raise BadDomain("one bound per variable required")
-    for d in bounds:
-        if d < 0:
-            raise ValueError(f"degree bound must be >= 0, got {d}")
-    terms = {}
-
-    def collect(table: FiniteFn, var: int, exp: tuple[int, ...]) -> None:
-        """Depth first: along the path of zero exponents ``table`` is f
-        itself, so its walk reaches delta_var^(d+1) f, the precondition;
-        elsewhere the walk stops at delta^d."""
-        if var == len(bounds):
-            terms[exp] = tuple(col[0] for col in table.columns)
-            return
-        d, on_f = bounds[var], not any(exp)
-        tables = list(_deltas(table, var, d + 1 if on_f else d))
-        if on_f and not tables.pop().is_zero():
+    bounds = tuple(map(_degree_bound, bounds))
+    for var, d in enumerate(bounds):
+        if not delta_power(f, d + 1, var).is_zero():
             raise PreconditionFailed(
                 f"difference power {d + 1} does not annihilate variable {var}"
             )
-        for k, g in enumerate(tables):
+    terms = {}
+
+    def collect(table: FiniteFn, var: int, exp: tuple[int, ...]) -> None:
+        """Depth first: the walk along ``var`` to delta^d, then the next variable."""
+        if var == len(bounds):
+            terms[exp] = tuple(col[0] for col in table.columns)
+            return
+        for k, g in enumerate(_deltas(table, var, bounds[var])):
             collect(g, var + 1, exp + (k,))
 
     collect(f, 0, ())
@@ -341,8 +341,7 @@ def periodic_degree_bound(q: int, r: int) -> int:
     entry of 2.  A period that is not an integer >= 1 or a modulus that
     is not an integer >= 0 raises ValueError.
     """
-    if as_integer(q, "period") < 1:
-        raise ValueError("period must be >= 1")
+    at_least(q, 1, "period")
     check_modulus(r)
     if r <= 1:
         return 0
@@ -382,9 +381,7 @@ def hrycaj_periodicity(p: UniPolyfract, q: int) -> bool:
     True iff sum_j C(q, j) * P_(d+j), j = 1..q, vanishes mod r for every
     d up to the degree; equivalent to P(x + q) = P(x) for all x.
     """
-    q = as_integer(q, "period")
-    if q < 1:
-        raise ValueError("period must be >= 1")
+    q = at_least(q, 1, "period")
     deg = p.degree
     if deg is None:
         return True
@@ -412,9 +409,7 @@ def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:
     if len(fac) != 1:
         raise BadDomain(f"domain order {f.domain_moduli[0]} is not a prime power")
     ((p, alpha),) = fac
-    beta = as_integer(beta, "beta")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    beta = at_least(beta, 0, "beta")
     if mode == "sharp":
         k, divisor = (beta * (p - 1) + 1) * p ** (alpha - 1), p**beta
     elif mode == "coarse":

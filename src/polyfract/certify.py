@@ -28,7 +28,7 @@ from .classify import (
     is_polyfractal,
 )
 from .exactnum import is_prime, mod_project, Residue
-from .groups import merge_variables, split_variable
+from .groups import split_variable
 from .lagrange import (
     cofract,
     degree_bound,
@@ -36,7 +36,7 @@ from .lagrange import (
     interpolate_prime_power,
     lagrange_polyfract,
 )
-from .multi import MultiPolyfract, grid_vanish_equiv
+from .multi import MultiPolyfract, grid_vanish_equiv, merge_variables
 from .uni import UniPolyfract, coeffs_from_values
 
 __all__ = ["CertifyOptions", "CheckResult", "run_all"]

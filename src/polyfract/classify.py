@@ -17,12 +17,12 @@ from math import comb, log10, prod
 from operator import ne
 from typing import Sequence
 
-from .calculus import FiniteFn, periodic_degree_bound
+from .calculus import FiniteFn, _degree_bound, periodic_degree_bound
 from .errors import InfiniteGroup, NotCyclic, NotPolyfractal, TooLarge
 from .exactnum import Residue
-from .groups import Splitting, merge_variables, split_group
+from .groups import Splitting, split_group
 from .lagrange import interpolate_prime_power
-from .multi import MultiPolyfract
+from .multi import MultiPolyfract, merge_variables
 from .uni import RationalPoly, UniPolyfract
 
 __all__ = [
@@ -277,10 +277,10 @@ def brute_force_polyfractal(f: FiniteFn,
     Independent of the block-dependency logic; the search space is
     r ** (bound + 1) coefficient vectors and is guarded by max_search.
     ``degree_bound`` overrides the blockwise bound (testing only; a too
-    small value loses completeness; a negative one raises ValueError).
+    small value loses completeness; a bad one raises ValueError).
     """
-    if degree_bound is not None and degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    if degree_bound is not None:
+        degree_bound = _degree_bound(degree_bound)
     if f.nvars != 1 or len(f.codomain_moduli) != 1:
         raise NotCyclic("the oracle handles cyclic domain and codomain only")
     q = f.domain_moduli[0]

@@ -16,6 +16,7 @@ from .errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
 __all__ = [
     "Residue",
     "as_integer",
+    "at_least",
     "binom",
     "check_modulus",
     "mod_project",
@@ -38,10 +39,21 @@ def as_integer(value, what: str, error: type[Exception] = ValueError) -> int:
         raise error(f"{what} {value!r} is not an integer") from None
 
 
+def at_least(value, minimum: int, what: str) -> int:
+    """``value`` as an int >= minimum, else ValueError naming ``what``; it
+    indexes ``value`` itself, so the hot ``check_modulus`` stays one call deep."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        as_integer(value, what)  # raises, with its message
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
+    return value
+
+
 def check_modulus(modulus) -> None:
     """Reject a modulus that is not an integer >= 0."""
-    if as_integer(modulus, "modulus") < 0:
-        raise ValueError("modulus must be >= 0")
+    at_least(modulus, 0, "modulus")
 
 
 def binom(n: int, k: int) -> int:
@@ -145,28 +157,26 @@ def mod_project(x: Residue, r: int) -> Residue:
 
 
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; inputs here are desk-scale."""
-    if as_integer(p, "p") < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Primality, read off the cached trial-division ``factorization``."""
+    return as_integer(p, "p") >= 2 and factorization(p) == ((p, 1),)
 
 
-def padic_valuation(n: int, p: int) -> int:
-    """Largest e with p^e dividing n; requires n != 0 and p prime."""
-    if n == 0:
-        raise ZeroInput("valuation of 0 is undefined")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+def _multiplicity(n: int, p: int) -> int:
+    """Largest e with p^e dividing n, for n != 0 and p >= 2."""
     e = 0
     while n % p == 0:
         n //= p
         e += 1
     return e
+
+
+def padic_valuation(n: int, p: int) -> int:
+    """Largest e with p^e dividing n; requires an integer n != 0 and p prime."""
+    if as_integer(n, "n") == 0:
+        raise ZeroInput("valuation of 0 is undefined")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return _multiplicity(n, p)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -175,9 +185,7 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
     ascending, by trial division.  Cached, since the sweeps factor a few
     moduli many times: a tuple, so no caller can change a shared result,
     and ``typed``, so 2.0 cannot hit the entry of 2."""
-    n = as_integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = at_least(n, 1, "n")
     factors = []
     d = 2
     while d * d <= n:
@@ -203,8 +211,4 @@ def prime_part(n: int, p: int) -> int:
     """The p-power part p^{v_p(n)} of n >= 1 (so 1 when p does not divide n)."""
     if as_integer(n, "n") < 1 or as_integer(p, "p") < 2:
         raise ValueError(f"need n >= 1 and p >= 2, got n={n}, p={p}")
-    part = 1
-    while n % p == 0:
-        part *= p
-        n //= p
-    return part
+    return p ** _multiplicity(n, p)

@@ -15,15 +15,14 @@ from .calculus import hrycaj_periodicity
 from .errors import (
     ArityMismatch, CoprimalityViolation, ModulusMismatch, NotPeriodic, NotPrime,
 )
-from .exactnum import Residue, as_integer, is_prime, prime_factors, prime_part
-from .multi import MultiPolyfract, merge_variables
+from .exactnum import Residue, as_integer, at_least, is_prime, prime_factors, prime_part
+from .multi import MultiPolyfract
 from .uni import UniPolyfract
 
 __all__ = [
     "CRTMap",
     "Splitting",
     "crt_map",
-    "merge_variables",
     "split_group",
     "split_variable",
     "wavelength_reduce",
@@ -87,9 +86,7 @@ def crt_map(r: int, primes: Sequence[int] | None = None) -> CRTMap:
     ``primes`` may list extra primes, materialized as trivial factors
     Z_1, so that several splittings share one prime layout.
     """
-    r = as_integer(r, "modulus")
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    r = at_least(r, 2, "r")
     factors = tuple(prime_part(r, p) for p in _covering_primes((r,), primes))
     cofactors = [r // f for f in factors]
     multipliers = [
@@ -207,10 +204,8 @@ def wavelength_reduce(p: UniPolyfract, period: int) -> int:
     to the codomain modulus removed; the polyfract is verified to be
     q-periodic (it always is), and q == 1 means it is constant.
     """
-    if p.modulus < 2:
-        raise ValueError("codomain modulus must be >= 2")
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    at_least(p.modulus, 2, "codomain modulus")
+    period = at_least(period, 1, "period")
     if not hrycaj_periodicity(p, period):
         raise NotPeriodic(f"polyfract is not {period}-periodic")
     q = 1

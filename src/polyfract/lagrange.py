@@ -15,7 +15,9 @@ from typing import Sequence
 
 from .calculus import FiniteFn, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
-from .exactnum import Residue, as_integer, binom, check_modulus, factorization, is_prime
+from .exactnum import (
+    Residue, as_integer, at_least, binom, check_modulus, factorization, is_prime,
+)
 from .multi import MultiPolyfract
 from .uni import UniPolyfract, table_values
 
@@ -102,8 +104,7 @@ def degree_bound(p: int, beta: int, alphas: Sequence[int]) -> int:
     """
     if not is_prime(as_integer(p, "p")):
         raise NotPrime(f"{p} is not prime")
-    if as_integer(beta, "beta") < 1:
-        raise ValueError("beta must be >= 1")
+    at_least(beta, 1, "beta")
     alphas = tuple(as_integer(a, "alpha") for a in alphas)
     if not alphas:
         return 0

@@ -28,10 +28,10 @@ from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, TooLarge
-from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
+from .exactnum import Residue, as_integer, binom, canonical
 from .uni import (
-    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _numerators,
-    _to_monomial, box_coeffs, box_values,
+    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _lifter,
+    _numerators, _to_monomial, box_coeffs, box_values,
 )
 
 __all__ = [
@@ -160,8 +160,7 @@ class MultiPolyfract:
 
     @classmethod
     def from_uni(cls, p: UniPolyfract) -> "MultiPolyfract":
-        terms = [((d,), (c,)) for d, c in enumerate(p.coeffs) if c]
-        return cls((p.modulus,), 1, tuple(terms))
+        return cls.from_components([p])
 
     @classmethod
     def from_components(cls, components: Sequence[UniPolyfract]) -> "MultiPolyfract":
@@ -326,14 +325,11 @@ class MultiPolyfract:
 
     def to_rational(self, lift: str = "balanced") -> RationalPolyMulti:
         """Monomial-basis representative with rational tuple coefficients."""
+        pick = _lifter(lift)
         slots = []
         for i, r in enumerate(self.codomain):
-            int_terms = self.slot_map(i)
-            if lift == "balanced":
-                int_terms = {e: balanced_lift(c, r) for e, c in int_terms.items()}
-            elif lift != "canonical":
-                raise ValueError(f"unknown lift {lift!r}")
-            mono, den = _expand_to_monomials(int_terms)
+            mono, den = _expand_to_monomials(
+                {e: pick(c, r) for e, c in self.slot_map(i).items()})
             slots.append({exp: Fraction(n, den) for exp, n in mono.items()})
         return RationalPolyMulti(self.nvars, self.width, _join_slots(slots))
 

@@ -37,7 +37,9 @@ from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
-from .exactnum import Residue, as_integer, balanced_lift, canonical
+from .exactnum import (
+    Residue, as_integer, at_least, balanced_lift, canonical, check_modulus,
+)
 
 __all__ = [
     "RationalPoly",
@@ -287,6 +289,16 @@ def _binomial_coeffs(poly: _MPoly, den: int, nvars: int) -> dict[tuple[int, ...]
     return out
 
 
+def _lifter(lift: str) -> Callable[[int, int], int]:
+    """(c, r) -> the integer representative of c mod r that ``lift`` picks:
+    "balanced" (``balanced_lift``) or "canonical" (c itself)."""
+    if lift == "balanced":
+        return balanced_lift
+    if lift == "canonical":
+        return lambda c, modulus: c
+    raise ValueError(f"unknown lift {lift!r}")
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     """Dense univariate polynomial over Q in the ordinary monomial basis.
@@ -336,8 +348,7 @@ class UniPolyfract:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if as_integer(self.modulus, "modulus") < 0:
-            raise ValueError("modulus must be >= 0")
+        check_modulus(self.modulus)
         reduced = _trim([canonical(as_integer(c, "coefficient"), self.modulus)
                          for c in self.coeffs])
         object.__setattr__(self, "coeffs", tuple(reduced))
@@ -353,9 +364,7 @@ class UniPolyfract:
     @classmethod
     def monofract(cls, delta: int, modulus: int) -> "UniPolyfract":
         """The basis element C(X, delta) over Z_r."""
-        if as_integer(delta, "delta") < 0:
-            raise ValueError("delta must be >= 0")
-        return cls(modulus, (0,) * delta + (1,))
+        return cls(modulus, (0,) * at_least(delta, 0, "delta") + (1,))
 
     @classmethod
     def from_rational(cls, poly: RationalPoly, modulus: int) -> "UniPolyfract":
@@ -428,12 +437,8 @@ class UniPolyfract:
         map mod r.  The result is _to_monomial's numerators over (n-1)!,
         n the number of coefficients.
         """
-        if lift == "balanced":
-            lifted = [balanced_lift(c, self.modulus) for c in self.coeffs]
-        elif lift == "canonical":
-            lifted = list(self.coeffs)
-        else:
-            raise ValueError(f"unknown lift {lift!r}")
+        pick = _lifter(lift)
+        lifted = [pick(c, self.modulus) for c in self.coeffs]
         if not lifted:
             return RationalPoly()
         top = len(lifted) - 1

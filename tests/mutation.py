@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 CALCULUS = "src/polyfract/calculus.py"
 CERTIFY = "src/polyfract/certify.py"
+EXACTNUM = "src/polyfract/exactnum.py"
 MULTI = "src/polyfract/multi.py"
 UNI = "src/polyfract/uni.py"
 KERNELS = "tests/test_interp_kernels.py::"
@@ -70,7 +71,7 @@ MUTANTS = (
            "for x in range(min(delta, q - 1) + 1))",
            "for x in range(min(delta - 1, q - 1) + 1))",
            (KERNELS + "TestInterpolation",)),
-    Mutant("cofract reduction dropped", "src/polyfract/exactnum.py",
+    Mutant("cofract reduction dropped", EXACTNUM,
            "value=value % modulus if modulus else value",
            "value=value",
            (KERNELS + "TestCofract",)),
@@ -178,6 +179,15 @@ MUTANTS = (
            "count = 0",
            "count = 1",
            ("tests/test_cli.py::TestCommands::test_certify_quick",)),
+    # the shared argument check and division loop
+    Mutant("range check lets the minimum minus one through", EXACTNUM,
+           "if value < minimum:",
+           "if value < minimum - 1:",
+           ("tests/test_edges.py::TestArgumentChecks::test_stride_boundary",)),
+    Mutant("valuation loop divides once", EXACTNUM,
+           "while n % p == 0:",
+           "if n % p == 0:",
+           ("tests/test_exactnum.py::TestHelpers::test_prime_part",)),
 )
 
 # Mutants that change no result, so no test can kill them, with the reason.

@@ -1,21 +1,32 @@
-"""Edge shapes and larger-parameter stress checks."""
+"""Edge shapes, larger-parameter stress checks and argument checks."""
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfract import (
+    DiffOp,
     FiniteFn,
     MultiPolyfract,
     UniPolyfract,
+    brute_force_polyfractal,
+    degree_bound,
+    delta_power,
+    divisibility_check,
     hrycaj_periodicity,
     interpolate_prime_power,
     is_polyfractal,
     lagrange_polyfract,
+    padic_valuation,
+    periodic_degree_bound,
     represent,
     represent_univariate,
+    taylor_expand,
     taylor_expand_multi,
+    wavelength_reduce,
 )
 from polyfract.cli import emit_polynomial, parse_polynomial
+from polyfract.exactnum import check_modulus, factorization
 
 
 class TestDegenerateShapes:
@@ -117,3 +128,63 @@ class TestEmissionFuzz:
                 MultiPolyfract.from_rational(rational, parsed_codomain)
             assert restored == poly
             assert emit_polynomial(restored, basis) == text
+
+
+Z6 = FiniteFn.univariate(6, 6, range(6))
+Z8 = FiniteFn.univariate(8, 0, range(8))
+PERIODIC = UniPolyfract(4, (1, 2))
+
+# Each check that rejects an integer out of range, with its exact message.
+OUT_OF_RANGE = [
+    ("stride", lambda: DiffOp("stride", 0, 0), "stride must be >= 1"),
+    ("difference power", lambda: delta_power(Z6, -1), "difference power must be >= 0"),
+    ("period of the degree bound", lambda: periodic_degree_bound(0, 4),
+     "period must be >= 1"),
+    ("period of the coefficient criterion", lambda: hrycaj_periodicity(PERIODIC, 0),
+     "period must be >= 1"),
+    ("period of the wavelength", lambda: wavelength_reduce(PERIODIC, 0),
+     "period must be >= 1"),
+    ("beta of the divisibility check", lambda: divisibility_check(Z8, -1),
+     "beta must be >= 0"),
+    ("beta of the degree bound", lambda: degree_bound(2, 0, (1,)), "beta must be >= 1"),
+    ("monofract delta", lambda: UniPolyfract.monofract(-1, 4), "delta must be >= 0"),
+    ("factorization", lambda: factorization(0), "n must be >= 1"),
+    ("modulus", lambda: check_modulus(-1), "modulus must be >= 0"),
+    ("univariate modulus", lambda: UniPolyfract(-3, (1,)), "modulus must be >= 0"),
+    ("taylor degree bound", lambda: taylor_expand(Z6, -1),
+     "degree bound must be >= 0, got -1"),
+    ("multivariate degree bound", lambda: taylor_expand_multi(Z6, (-2,)),
+     "degree bound must be >= 0, got -2"),
+    ("oracle degree bound", lambda: brute_force_polyfractal(Z6, degree_bound=-1),
+     "degree bound must be >= 0, got -1"),
+]
+
+# Arguments of the wrong type or kind: each raises ValueError naming it.
+REJECTED = [
+    ("oracle degree bound", lambda: brute_force_polyfractal(Z6, degree_bound=1.5),
+     "degree bound 1.5 is not an integer"),
+    ("valuation of a float", lambda: padic_valuation(12.5, 2), "n 12.5 is not an integer"),
+    ("lift of a zero-width polyfract",
+     lambda: MultiPolyfract.zero((), 1).to_rational(lift="bogus"), "unknown lift 'bogus'"),
+]
+
+
+class TestArgumentChecks:
+    def test_stride_boundary(self):
+        assert DiffOp("stride", 0, 1).stride == 1
+        with pytest.raises(ValueError, match="^stride must be >= 1$"):
+            DiffOp("stride", 0, 0)
+
+    @pytest.mark.parametrize("call, message", [row[1:] for row in OUT_OF_RANGE],
+                             ids=[row[0] for row in OUT_OF_RANGE])
+    def test_out_of_range_integer(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("call, message", [row[1:] for row in REJECTED],
+                             ids=[row[0] for row in REJECTED])
+    def test_rejected_argument(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is ValueError and str(info.value) == message

@@ -192,6 +192,29 @@ class TestHelpers:
         assert prime_part(600, 2) == 8
         assert prime_part(600, 7) == 1
 
+    def test_is_prime_matches_trial_division(self):
+        def reference(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        for n in [*range(10_001), 2**31 - 1, 2**31 + 1]:
+            assert is_prime(n) == reference(n), n
+
+    def test_valuation_and_prime_part_match_reference(self):
+        def reference(n, p):
+            e = 0
+            while n % p**(e + 1) == 0:
+                e += 1
+            return e
+
+        for n in range(-300, 301):
+            for p in (2, 3, 5, 7):
+                if n:
+                    assert padic_valuation(n, p) == reference(n, p), (n, p)
+            if n >= 1:
+                for p in (2, 3, 4, 6, 9, 10):
+                    assert prime_part(n, p) == p**reference(n, p), (n, p)
+        assert prime_part(12, 4) == 4
+
     @pytest.mark.parametrize("n,p", [(0, 2), (-8, 2), (4, 1), (4, 0), (4, -2)])
     def test_prime_part_rejects_out_of_range(self, n, p):
         with pytest.raises(ValueError, match="need n >= 1 and p >= 2"):

@@ -46,6 +46,12 @@ class TestConstruction:
             MultiPolyfract((7,), 1, (((1,), (2.5,)),))
 
 
+    @pytest.mark.parametrize("p", [UniPolyfract(9, ()), UniPolyfract(9, (0, 0, 4)),
+                                   UniPolyfract(0, (-3, 1)), UniPolyfract(1, ())])
+    def test_from_uni_is_one_component(self, p):
+        assert MultiPolyfract.from_uni(p) == MultiPolyfract.from_components([p])
+
+
 class TestEvaluation:
     def test_zero_variable_constant(self):
         p = MultiPolyfract.constant((5,), (9,), 0)
