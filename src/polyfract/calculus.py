@@ -138,12 +138,19 @@ class FiniteFn:
         return prod(self.domain_moduli)
 
     def index(self, x: Sequence[int]) -> int:
+        """Position of x in the columns; a coordinate that is not an
+        integer raises ValueError, checked only once the index has failed."""
         if len(x) != len(self.domain_moduli):
             raise ArityMismatch(f"point {tuple(x)} needs {self.nvars} coordinates")
         idx = 0
-        for xi, q in zip(x, self.domain_moduli):
-            idx = idx * q + (xi % q)
-        return idx
+        try:
+            for xi, q in zip(x, self.domain_moduli):
+                idx = idx * q + (xi % q)
+            return index(idx)
+        except TypeError:
+            for xi in x:
+                as_integer(xi, "coordinate")
+            raise
 
     def point(self, idx: int) -> tuple[int, ...]:
         coords = []

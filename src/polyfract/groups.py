@@ -129,8 +129,11 @@ class Splitting:
         return tuple(a % m for a, m in zip(x, self.parts[i]))
 
     def split(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The block coordinates of x, block-major; a coordinate that is
+        not an integer raises ValueError."""
         if len(x) != self.width:
             raise ArityMismatch(f"expected {self.width} coordinates, got {len(x)}")
+        x = [as_integer(a, "coordinate") for a in x]
         return tuple(c for i in range(len(self.primes)) for c in self.block(i, x))
 
     def unsplit(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -174,15 +177,18 @@ def split_variable(p: MultiPolyfract, q1: int, q2: int) -> MultiPolyfract:
     coprime to r_2 and q2 coprime to r_1, returns (P_1(X_1), P_2(X_2));
     substituting the same variable back into both merges to P again, and
     as maps the result is P composed with the inverse domain splitting.
+    q1 and q2 must be integers with q1 * q2 >= 1, checked before their
+    coprimality.
     """
     if p.nvars != 1 or p.width != 2:
         raise ArityMismatch("a one-variable polyfract with two slots is required")
     r1, r2 = p.codomain
+    q1, q2 = as_integer(q1, "q1"), as_integer(q2, "q2")
+    period = at_least(q1 * q2, 1, "period")
     if gcd(q1, r2) != 1 or gcd(q2, r1) != 1:
         raise CoprimalityViolation(
             f"need gcd({q1}, {r2}) == 1 and gcd({q2}, {r1}) == 1"
         )
-    period = q1 * q2
     for i in range(2):
         if not hrycaj_periodicity(p.component_uni(i), period):
             raise NotPeriodic(f"component {i} is not {period}-periodic")

@@ -36,19 +36,25 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
     Sums (-1)^xh * C(d, xh) over all xh congruent to x mod q with
     0 <= xh <= d (at most floor(d/q) + 1 terms) and reduces mod r; the
     sign uses the actual integer representative xh.  The modulus is
-    checked after the sum, so a bad d or q is reported first, and the
-    result is built reduced once.
+    checked after the sum, so a bad d, q or x is reported first, and the
+    result is built reduced once.  A d, q or x that is not an integer
+    raises ValueError, checked only once the sum has failed on it.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
     total = 0
-    for xh in range(x % q, d + 1, q):
-        if xh & 1:
-            total -= binom(d, xh)
-        else:
-            total += binom(d, xh)
+    try:
+        for xh in range(x % q, d + 1, q):
+            if xh & 1:
+                total -= binom(d, xh)
+            else:
+                total += binom(d, xh)
+    except TypeError:
+        for value, what in ((d, "d"), (q, "q"), (x, "x")):
+            as_integer(value, what)
+        raise
     check_modulus(r)
     return Residue._trusted(total, r)
 
@@ -173,8 +179,9 @@ def extend_information_coeffs(info: Sequence[int], p: int, alpha: int,
     _check_prime_power_args(p, alpha, beta)
     q = p**alpha
     r = p**beta
-    info = [v % r for v in info]
+    info = list(info)
     if len(info) != q:
         raise LengthMismatch(f"expected {q} information coefficients, got {len(info)}")
+    info = [as_integer(v, "information coefficient") % r for v in info]
     table = FiniteFn.univariate(q, r, table_values(info, r, 0, q))
     return interpolate_prime_power(table).component_uni(0)

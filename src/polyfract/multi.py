@@ -213,21 +213,28 @@ class MultiPolyfract:
     # -- evaluation and calculus ----------------------------------------
 
     def evaluate(self, x: Sequence[int]) -> tuple[Residue, ...]:
+        """Values at x, one residue per slot; a coordinate that is not an
+        integer raises ValueError, checked only once ``binom`` has failed."""
         if len(x) != self.nvars:
             raise ArityMismatch(
                 f"point has {len(x)} coordinates, polyfract has {self.nvars}"
             )
         acc = [0] * self.width
-        for exp, coeffs in self.terms:
-            mono = 1
-            for xi, e in zip(x, exp):
-                mono *= binom(xi, e)
+        try:
+            for exp, coeffs in self.terms:
+                mono = 1
+                for xi, e in zip(x, exp):
+                    mono *= binom(xi, e)
+                    if not mono:
+                        break
                 if not mono:
-                    break
-            if not mono:
-                continue
-            for i, c in enumerate(coeffs):
-                acc[i] += c * mono
+                    continue
+                for i, c in enumerate(coeffs):
+                    acc[i] += c * mono
+        except TypeError:
+            for xi in x:
+                as_integer(xi, "coordinate")
+            raise
         return tuple(Residue(v, r) for v, r in zip(acc, self.codomain))
 
     def difference(self, var: int) -> "MultiPolyfract":
@@ -394,6 +401,7 @@ def grid_vanish_equiv(p: MultiPolyfract, bounds: Sequence[int]) -> tuple[bool, b
         raise ArityMismatch(
             f"grid has {len(bounds)} bounds, polyfract has {p.nvars} variables"
         )
+    bounds = tuple(as_integer(d, "grid bound") for d in bounds)
     coeffs_vanish = not any(
         all(e <= d for e, d in zip(exp, bounds)) for exp, _ in p.terms
     )

@@ -384,6 +384,7 @@ class UniPolyfract:
 
     def evaluate(self, x: int) -> Residue:
         """Value sum P_d * C(x, d) reduced mod r; x may be negative."""
+        x = as_integer(x, "point")
         total = 0
         row = 1
         for d, c in enumerate(self.coeffs):
@@ -395,7 +396,8 @@ class UniPolyfract:
     def values(self, start: int, stop: int) -> list[int]:
         """Canonical values at start..stop-1, the whole table at once
         (``table_values``); ``evaluate`` is the per-point route."""
-        return table_values(self.coeffs, self.modulus, start, stop)
+        return table_values(self.coeffs, self.modulus, as_integer(start, "start"),
+                            as_integer(stop, "stop"))
 
     def _check(self, other: "UniPolyfract") -> None:
         if self.modulus != other.modulus:

@@ -10,9 +10,12 @@ from polyfract import (
     MultiPolyfract,
     UniPolyfract,
     brute_force_polyfractal,
+    cofract,
     degree_bound,
     delta_power,
     divisibility_check,
+    extend_information_coeffs,
+    grid_vanish_equiv,
     hrycaj_periodicity,
     interpolate_prime_power,
     is_polyfractal,
@@ -21,6 +24,7 @@ from polyfract import (
     periodic_degree_bound,
     represent,
     represent_univariate,
+    split_variable,
     taylor_expand,
     taylor_expand_multi,
     wavelength_reduce,
@@ -132,6 +136,8 @@ class TestEmissionFuzz:
 
 Z6 = FiniteFn.univariate(6, 6, range(6))
 Z8 = FiniteFn.univariate(8, 0, range(8))
+PAIR = MultiPolyfract((2, 3), 1, (((1,), (1, 2)),))
+TWO_VARS = MultiPolyfract((5,), 2, (((0, 0), (1,)), ((1, 1), (2,))))
 PERIODIC = UniPolyfract(4, (1, 2))
 
 # Each check that rejects an integer out of range, with its exact message.
@@ -166,6 +172,25 @@ REJECTED = [
     ("valuation of a float", lambda: padic_valuation(12.5, 2), "n 12.5 is not an integer"),
     ("lift of a zero-width polyfract",
      lambda: MultiPolyfract.zero((), 1).to_rational(lift="bogus"), "unknown lift 'bogus'"),
+    ("table index", lambda: Z6.index((2.5,)), "coordinate 2.5 is not an integer"),
+    ("table value", lambda: Z6.value((2.0,)), "coordinate 2.0 is not an integer"),
+    ("table residues", lambda: Z6.residues((2.5,)), "coordinate 2.5 is not an integer"),
+    ("witness", lambda: represent(Z6).evaluate((2.5,)),
+     "coordinate 2.5 is not an integer"),
+    ("multivariate point", lambda: TWO_VARS.evaluate((2.5, 1)),
+     "coordinate 2.5 is not an integer"),
+    ("univariate point", lambda: PERIODIC.evaluate(2.5), "point 2.5 is not an integer"),
+    ("value table stop", lambda: PERIODIC.values(0, 2.5), "stop 2.5 is not an integer"),
+    ("grid bound", lambda: grid_vanish_equiv(TWO_VARS, (1, 1.5)),
+     "grid bound 1.5 is not an integer"),
+    ("cofract point", lambda: cofract(3, 2, 0, 0.5), "x 0.5 is not an integer"),
+    ("cofract degree", lambda: cofract(3.0, 2, 0, 1), "d 3.0 is not an integer"),
+    ("cofract period", lambda: cofract(3, 2.0, 0, 1), "q 2.0 is not an integer"),
+    ("split period factor", lambda: split_variable(PAIR, 2.0, 3),
+     "q1 2.0 is not an integer"),
+    ("split period", lambda: split_variable(PAIR, 0, 3), "period must be >= 1"),
+    ("information coefficient", lambda: extend_information_coeffs([1.5, 0], 2, 1, 2),
+     "information coefficient 1.5 is not an integer"),
 ]
 
 

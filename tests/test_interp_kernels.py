@@ -89,30 +89,29 @@ class TestCofract:
         assert hash(got) == hash(Residue(v, r))
 
     # The exception each bad argument raises, and which one wins when two
-    # arguments are bad: d and q are checked first, then the sum runs,
-    # then the modulus is checked as Residue checks it.
-    FLOAT = (TypeError, "'float' object cannot be interpreted as an integer")
-
+    # arguments are bad: d and q are checked first, then the sum runs (a
+    # d, q or x that is not an integer is named when it fails), then the
+    # modulus is checked as Residue checks it.
     @pytest.mark.parametrize("args, expected", [
         ((-1, 2, 4, 0), (ValueError, "d must be >= 0")),
         ((-5, 3, 9, 1), (ValueError, "d must be >= 0")),
-        ((2.0, 2, 4, 0), FLOAT),
-        ((2.5, 2, 4, 0), FLOAT),
+        ((2.0, 2, 4, 0), (ValueError, "d 2.0 is not an integer")),
+        ((2.5, 2, 4, 0), (ValueError, "d 2.5 is not an integer")),
         ((3, 0, 4, 0), (ValueError, "q must be >= 1")),
         ((3, -2, 4, 0), (ValueError, "q must be >= 1")),
-        ((3, 2.0, 4, 0), FLOAT),
-        ((3, 2.5, 4, 0), FLOAT),
+        ((3, 2.0, 4, 0), (ValueError, "q 2.0 is not an integer")),
+        ((3, 2.5, 4, 0), (ValueError, "q 2.5 is not an integer")),
         ((3, 2, -1, 0), (ValueError, "modulus must be >= 0")),
         ((3, 2, -4, 1), (ValueError, "modulus must be >= 0")),
         ((3, 2, 2.0, 0), (ValueError, "modulus 2.0 is not an integer")),
         ((3, 2, 2.5, 1), (ValueError, "modulus 2.5 is not an integer")),
         ((3, 2, "4", 0), (ValueError, "modulus '4' is not an integer")),
-        ((3, 2, 4, 1.0), FLOAT),
-        ((3, 2, 4, 0.5), FLOAT),
+        ((3, 2, 4, 1.0), (ValueError, "x 1.0 is not an integer")),
+        ((3, 2, 4, 0.5), (ValueError, "x 0.5 is not an integer")),
         ((-3, 0, -1, 0), (ValueError, "q must be >= 1")),
         ((-1, 2, -1, 0), (ValueError, "d must be >= 0")),
-        ((2.0, 2, -1, 0), FLOAT),
-        ((3, 2, -1, 0.5), FLOAT),
+        ((2.0, 2, -1, 0), (ValueError, "d 2.0 is not an integer")),
+        ((3, 2, -1, 0.5), (ValueError, "x 0.5 is not an integer")),
     ])
     def test_rejections(self, args, expected):
         with pytest.raises(Exception) as info:
