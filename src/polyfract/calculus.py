@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import prod
 from operator import index, sub
 from typing import Callable, Iterator, Sequence
@@ -26,7 +26,7 @@ from .errors import (
 from .exactnum import (
     Residue, as_integer, at_least, binom, canonical, check_modulus, factorization,
 )
-from .multi import MultiPolyfract
+from .multi import MultiPolyfract, _from_box
 from .uni import UniPolyfract
 
 __all__ = [
@@ -207,6 +207,20 @@ def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> lis
     return out
 
 
+def _box_cells(domain: Sequence[int], shape: Sequence[int],
+               moduli: Sequence[int]) -> list[int]:
+    """Column position on ``domain`` of x mod moduli (each at most its
+    domain factor), for x over the box prod_j [0..shape[j]) row by row."""
+    cells = [0]
+    stride = prod(domain)
+    for q, n, m in zip(domain, shape, moduli):
+        stride //= q
+        wrap = list(range(0, m * stride, stride))
+        offsets = wrap * (n // m) + wrap[:n % m]
+        cells = [c + o for c in cells for o in offsets]
+    return cells
+
+
 def _check_var(f: FiniteFn, var: int) -> int:
     var = as_integer(var, "variable", BadVariableIndex)
     if not 0 <= var < f.nvars:
@@ -225,7 +239,7 @@ def _difference(col: tuple, r: int, domain: tuple[int, ...], var: int,
 def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     """Apply a difference operator to each codomain column; indices wrap
     mod q_var.  A shift only rotates the column; the differences run
-    ``_difference``, the step ``delta_power`` repeats.
+    ``_difference``, the step ``_walk`` repeats.
     """
     var = _check_var(f, op.var)
     domain = f.domain_moduli
@@ -239,34 +253,23 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
 
 
-def _deltas(f: FiniteFn, var: int, steps: int) -> Iterator[FiniteFn]:
-    """f, delta f, ..., delta^steps f along one variable: the one
-    difference walk behind ``taylor_expand``, ``taylor_expand_multi`` and
-    ``map_degree``, one ``apply_diff`` per step and no zero test.
-
-    It steps through ``apply_diff`` rather than ``delta_power`` because
-    the benchmark's traced run requires ``calculus.apply_diff`` to fire on
-    interp and certify until its span map follows the kernels (ROADMAP
-    item 1).
-    """
-    op = DiffOp("delta", var)
-    yield f
-    for _ in range(steps):
-        f = apply_diff(op, f)
-        yield f
+def _walk(col: tuple, r: int, domain: tuple[int, ...], var: int) -> Iterator[tuple]:
+    """One column of f, delta f, delta^2 f, ... along a checked variable,
+    without end and with no table built: ``delta_power`` takes entry k of
+    each column's walk, ``map_degree`` steps all of them to the first
+    all-zero step."""
+    while True:
+        yield col
+        col = _difference(col, r, domain, var, 1)
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
-    """k-fold forward difference in one variable: ``_difference`` k times
-    on each codomain column, one table built at the end."""
+    """k-fold forward difference in one variable: entry k of ``_walk``."""
     var = _check_var(f, var)
     k = at_least(k, 0, "difference power")
-    columns = []
-    for col, r in zip(f.columns, f.codomain_moduli):
-        for _ in range(k):
-            col = _difference(col, r, f.domain_moduli, var, 1)
-        columns.append(col)
-    return FiniteFn._trusted(f.domain_moduli, f.codomain_moduli, tuple(columns))
+    columns = tuple([next(islice(_walk(col, r, f.domain_moduli, var), k, None))
+                     for col, r in zip(f.columns, f.codomain_moduli)])
+    return FiniteFn._trusted(f.domain_moduli, f.codomain_moduli, columns)
 
 
 def value_sum(f: FiniteFn) -> tuple[Residue, ...]:
@@ -282,23 +285,33 @@ def _degree_bound(d) -> int:
     return d
 
 
+def _check_univariate(f: FiniteFn) -> None:
+    """Reject a table that ``taylor_expand`` cannot expand."""
+    if f.nvars != 1:
+        raise BadDomain("taylor_expand needs a one-variable table")
+    if len(f.codomain_moduli) != 1:
+        raise BadCodomain("taylor_expand needs a single codomain factor")
+
+
 def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     """Expand a univariate table into the polyfract with coefficients
     delta^k f(0), k = 0..d.
 
     Requires delta^(d+1) f == 0 on the whole (wrapped) domain; then the
     returned polyfract matches f at every domain point.
+
+    It steps through ``apply_diff``, one table per step, not ``_walk``:
+    the benchmark's traced run requires ``calculus.apply_diff`` to fire on
+    interp and certify (ROADMAP item 1), and only this loop calls it.
     """
     d = _degree_bound(d)
-    if f.nvars != 1:
-        raise BadDomain("taylor_expand needs a one-variable table")
-    if len(f.codomain_moduli) != 1:
-        raise BadCodomain("taylor_expand needs a single codomain factor")
+    _check_univariate(f)
+    op = DiffOp("delta")
     coeffs = []
-    for g in _deltas(f, 0, d + 1):
-        coeffs.append(g.columns[0][0])
-    coeffs.pop()  # g is delta^(d+1) f, which must vanish
-    if not g.is_zero():
+    for _ in range(d + 1):
+        coeffs.append(f.columns[0][0])
+        f = apply_diff(op, f)
+    if not f.is_zero():
         raise PreconditionFailed(
             f"difference power {d + 1} does not annihilate the table"
         )
@@ -313,6 +326,9 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     the table for every variable j separately (which pins the whole
     coefficient support inside the grid, so the expansion reproduces f),
     checked first with ``delta_power``, one variable after the other.
+    Then every line along variable j is a q_j-periodic polyfract of degree
+    at most D_j = ``_degree_cap``, so f's periodic extension on the box
+    prod_j [0..min(d_j, D_j)] fixes the coefficients (``multi._from_box``).
     """
     bounds = tuple(bounds)
     if len(bounds) != f.nvars:
@@ -323,18 +339,11 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
             raise PreconditionFailed(
                 f"difference power {d + 1} does not annihilate variable {var}"
             )
-    terms = {}
-
-    def collect(table: FiniteFn, var: int, exp: tuple[int, ...]) -> None:
-        """Depth first: the walk along ``var`` to delta^d, then the next variable."""
-        if var == len(bounds):
-            terms[exp] = tuple(col[0] for col in table.columns)
-            return
-        for k, g in enumerate(_deltas(table, var, bounds[var])):
-            collect(g, var + 1, exp + (k,))
-
-    collect(f, 0, ())
-    return MultiPolyfract(f.codomain_moduli, f.nvars, tuple(terms.items()))
+    sizes = tuple(min(d, _degree_cap(q, f.codomain_moduli)) + 1
+                  for d, q in zip(bounds, f.domain_moduli))
+    cells = _box_cells(f.domain_moduli, sizes, f.domain_moduli)
+    return _from_box(f.codomain_moduli,
+                     [[col[i] for i in cells] for col in f.columns], sizes)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -362,6 +371,11 @@ def periodic_degree_bound(q: int, r: int) -> int:
     return best
 
 
+def _degree_cap(q: int, codomain: tuple[int, ...]) -> int:
+    """The largest ``periodic_degree_bound(q, r)`` over the codomain."""
+    return max((periodic_degree_bound(q, r) for r in codomain), default=0)
+
+
 def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     """Partial degree of the map: one less than the smallest difference
     power that annihilates it; None for the zero map.
@@ -370,12 +384,11 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     annihilated by then never are, and NotAnnihilated is raised.
     """
     var = _check_var(f, var)
-    q = f.domain_moduli[var]
-    bound = max(
-        (periodic_degree_bound(q, r) for r in f.codomain_moduli), default=0
-    )
-    for applied, g in enumerate(_deltas(f, var, bound + 1)):
-        if g.is_zero():
+    bound = _degree_cap(f.domain_moduli[var], f.codomain_moduli)
+    walks = [_walk(col, r, f.domain_moduli, var)
+             for col, r in zip(f.columns, f.codomain_moduli)]
+    for applied in range(bound + 2):
+        if not any(map(any, [next(walk) for walk in walks])):
             return applied - 1 if applied else None
     raise NotAnnihilated(
         f"no difference power up to {bound + 1} annihilates variable {var}"

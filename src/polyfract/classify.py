@@ -6,18 +6,19 @@ primary components, each prime's output block depends only on the same
 prime's input block.  The pipeline here transports a value table through
 the splitting isomorphisms, checks that block structure, interpolates the
 block maps, and reassembles witnesses, counterexamples, counts, and an
-independent brute-force oracle.
+independent brute-force oracle.  One index map, ``calculus._box_cells``,
+gathers the block points for the block test and for each block's table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import compress, count
 from math import comb, log10, prod
 from operator import ne
 from typing import Sequence
 
-from .calculus import FiniteFn, _degree_bound, periodic_degree_bound
+from .calculus import FiniteFn, _box_cells, _degree_bound, periodic_degree_bound
 from .errors import InfiniteGroup, NotCyclic, NotPolyfractal, TooLarge
 from .exactnum import Residue
 from .groups import Splitting, split_group
@@ -92,18 +93,6 @@ class ClassificationResult:
     witness: Witness | None = None
 
 
-def _block_cells(domain: tuple[int, ...], parts: tuple[int, ...]) -> list[int]:
-    """Index of each point's block point x mod parts (taken one coordinate
-    at a time), for the points in index order."""
-    cells = [0]
-    stride = prod(domain)
-    for q, m in zip(domain, parts):
-        stride //= q
-        offsets = list(range(0, m * stride, stride)) * (q // m)
-        cells = [c + o for c in cells for o in offsets]
-    return cells
-
-
 def is_polyfractal(f: FiniteFn) -> ClassificationResult:
     """Block-dependency test for representability by a rational polynomial.
 
@@ -126,7 +115,7 @@ def is_polyfractal(f: FiniteFn) -> ClassificationResult:
             if m == 1:
                 continue
             if cells is None:
-                cells = _block_cells(domain, in_parts)
+                cells = _box_cells(domain, domain, in_parts)
             red = list(col) if m == r else [v % m for v in col]
             got = list(map(red.__getitem__, cells))
             if got != red:
@@ -175,7 +164,7 @@ def represent(f: FiniteFn) -> Witness:
         # A block point is a domain point of that block, and the block test
         # has shown the block output does not depend on the representative.
         # The table constructor reduces each value into the block Z_m.
-        cells = [f.index(a) for a in product(*(range(q) for q in block_domain))]
+        cells = _box_cells(f.domain_moduli, block_domain, block_domain)
         for k, (m, col) in enumerate(zip(cod.parts[i], f.columns)):
             if m == 1:
                 continue

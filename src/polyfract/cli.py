@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Sequence
 
-from .calculus import FiniteFn, map_degree, taylor_expand
+from .calculus import FiniteFn, _check_univariate, map_degree, taylor_expand
 from .certify import CertifyOptions, run_all
 from .classify import count_polyfractal, represent, represent_univariate
 from .errors import (
@@ -366,11 +366,8 @@ def _cmd_cofract(args) -> int:
 
 def _cmd_taylor(args) -> int:
     table = parse_problem(_read(args.problem))
-    if args.degree is not None:
-        degree = args.degree
-    else:
-        found = map_degree(table)
-        degree = 0 if found is None else found
+    _check_univariate(table)
+    degree = args.degree if args.degree is not None else map_degree(table) or 0
     poly = taylor_expand(table, degree)
     sys.stdout.write(emit_polynomial(MultiPolyfract.from_uni(poly), args.basis))
     return 0

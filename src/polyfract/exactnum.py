@@ -10,6 +10,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from .errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
 
@@ -157,8 +158,8 @@ def mod_project(x: Residue, r: int) -> Residue:
 
 
 def is_prime(p: int) -> bool:
-    """Primality, read off the cached trial-division ``factorization``."""
-    return as_integer(p, "p") >= 2 and factorization(p) == ((p, 1),)
+    """Primality: p >= 2 is its own smallest prime factor."""
+    return as_integer(p, "p") >= 2 and next(_prime_powers(p)) == (p, 1)
 
 
 def _multiplicity(n: int, p: int) -> int:
@@ -185,8 +186,11 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
     ascending, by trial division.  Cached, since the sweeps factor a few
     moduli many times: a tuple, so no caller can change a shared result,
     and ``typed``, so 2.0 cannot hit the entry of 2."""
-    n = at_least(n, 1, "n")
-    factors = []
+    return tuple(_prime_powers(at_least(n, 1, "n")))
+
+
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, in order."""
     d = 2
     while d * d <= n:
         e = 0
@@ -194,11 +198,10 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
             e += 1
             n //= d
         if e:
-            factors.append((d, e))
+            yield d, e
         d += 1
     if n > 1:
-        factors.append((n, 1))
-    return tuple(factors)
+        yield n, 1
 
 
 def prime_factors(n: int) -> dict[int, int]:

@@ -3,12 +3,12 @@
 A term maps an exponent tuple d to a coefficient tuple, one slot per
 codomain factor; the induced map sends x to the componentwise-reduced sum
 of coeff * C(x_1, d_1) * ... * C(x_n, d_n).  Ring arithmetic works slot by
-slot.  Products and ``compose`` use the paper's Taylor-type theorem: a
-polyfract's coefficients are its differences Delta^e f(0), so a result of
-degree at most D_j in variable j is fixed by its values on the box
-prod_j [0..D_j].  The operands' values there come from ``uni.box_values``
-and the difference triangle ``uni.box_coeffs`` takes the combined values
-back, all in integers reduced mod r.  The monomial basis is the I/O edge:
+slot.  By the paper's Taylor-type theorem a polyfract's coefficients are
+its differences Delta^e f(0), so one of degree at most D_j in variable j
+is fixed by its values on the box prod_j [0..D_j].  Products, ``compose``
+and ``calculus.taylor_expand_multi`` gather those values and end in
+``_from_box``: the difference triangle ``uni.box_coeffs`` in integers
+reduced mod r.  The monomial basis is the I/O edge:
 ``to_rational``, ``from_rational`` and ``merge_variables`` run the
 n-variable basis-change drivers in ``uni`` (``_expand_to_monomials`` and
 ``_binomial_coeffs``) on integer numerators over one denominator per
@@ -166,12 +166,10 @@ class MultiPolyfract:
     def from_components(cls, components: Sequence[UniPolyfract]) -> "MultiPolyfract":
         """Bundle univariate polyfracts into one single-variable polyfract
         with tuple coefficients, one codomain slot per component."""
-        codomain = tuple(p.modulus for p in components)
-        degrees = [len(p.coeffs) for p in components]
-        terms = []
-        for d in range(max(degrees, default=0)):
-            terms.append(((d,), tuple(p.coefficient(d) for p in components)))
-        return cls(codomain, 1, tuple(terms))
+        top = max((len(p.coeffs) for p in components), default=0)
+        terms = tuple(((d,), tuple(p.coefficient(d) for p in components))
+                      for d in range(top))
+        return cls(tuple(p.modulus for p in components), 1, terms)
 
     @classmethod
     def from_rational(cls, poly: RationalPolyMulti,
@@ -241,12 +239,9 @@ class MultiPolyfract:
         """Forward difference in one variable, acting on coefficients."""
         if not 0 <= as_integer(var, "variable", ArityMismatch) < self.nvars:
             raise ArityMismatch(f"variable {var} out of range")
-        terms = []
-        for exp, coeffs in self.terms:
-            if exp[var] >= 1:
-                dropped = exp[:var] + (exp[var] - 1,) + exp[var + 1:]
-                terms.append((dropped, coeffs))
-        return MultiPolyfract(self.codomain, self.nvars, tuple(terms))
+        terms = tuple((exp[:var] + (exp[var] - 1,) + exp[var + 1:], coeffs)
+                      for exp, coeffs in self.terms if exp[var] >= 1)
+        return MultiPolyfract(self.codomain, self.nvars, terms)
 
     def degrees(self) -> tuple[int | None, tuple[int | None, ...]]:
         """(total degree, per-variable partial degrees); None when zero."""
@@ -306,12 +301,11 @@ class MultiPolyfract:
             return MultiPolyfract._trusted(self.codomain, self.nvars, ())
         shape_a, shape_b = self._shape(), other._shape()
         sizes = _checked_box(tuple(x + y - 1 for x, y in zip(shape_a, shape_b)))
-        slots = [
-            box_coeffs(list(map(mul, box_values(ca, shape_a, sizes, r),
-                                box_values(cb, shape_b, sizes, r))), sizes, r)
+        return _from_box(self.codomain, [
+            list(map(mul, box_values(ca, shape_a, sizes, r),
+                     box_values(cb, shape_b, sizes, r)))
             for ca, cb, r in zip(self._box(shape_a), other._box(shape_b), self.codomain)
-        ]
-        return MultiPolyfract._trusted(self.codomain, self.nvars, _box_terms(slots, sizes))
+        ], sizes)
 
     def _shape(self) -> tuple[int, ...]:
         """deg_j + 1 for each variable j; needs a nonzero self."""
@@ -369,8 +363,7 @@ def compose(q: UniPolyfract, p: MultiPolyfract) -> MultiPolyfract:
     values = box_values(flat, shape, sizes, 0)
     nums, den = _to_monomial(q.coeffs, top)[::-1], factorial(top)
     at = {v: reduce(lambda acc, c: acc * v + c, nums, 0) // den for v in set(values)}
-    coeffs = box_coeffs([at[v] for v in values], sizes, 0)
-    return MultiPolyfract._trusted((0,), p.nvars, _box_terms([coeffs], sizes))
+    return _from_box((0,), [[at[v] for v in values]], sizes)
 
 
 def _checked_box(sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -383,11 +376,15 @@ def _checked_box(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return sizes
 
 
-def _box_terms(slots: Sequence[list[int]], sizes: Sequence[int]) -> tuple:
-    """Sorted terms from one row-major coefficient list per slot on the box
-    prod_j [0..sizes[j]); row-major order is exponent order."""
-    return tuple(term for term in zip(product(*map(range, sizes)), zip(*slots))
-                 if any(term[1]))
+def _from_box(codomain: tuple[int, ...], values: Sequence[list[int]],
+              sizes: tuple[int, ...]) -> MultiPolyfract:
+    """The polyfract of degree below sizes[j] in each variable j with the
+    given values on the box prod_j [0..sizes[j]), one row-major list per
+    slot; row-major order is exponent order, so the terms come sorted."""
+    slots = [box_coeffs(vals, sizes, r) for vals, r in zip(values, codomain)]
+    terms = tuple(term for term in zip(product(*map(range, sizes)), zip(*slots))
+                  if any(term[1]))
+    return MultiPolyfract._trusted(codomain, len(sizes), terms)
 
 
 def grid_vanish_equiv(p: MultiPolyfract, bounds: Sequence[int]) -> tuple[bool, bool]:

@@ -77,17 +77,21 @@ MUTANTS = (
            (KERNELS + "TestCofract",)),
     # the block test
     Mutant("block point by the full modulus", "src/polyfract/classify.py",
-           "cells = _block_cells(domain, in_parts)",
-           "cells = _block_cells(domain, domain)",
+           "cells = _box_cells(domain, domain, in_parts)",
+           "cells = _box_cells(domain, domain, domain)",
            ("tests/test_classify.py::TestBlockScanDifferential",)),
     Mutant("counterexample from the first clashing column", "src/polyfract/classify.py",
            "first = j if first is None else min(first, j)",
            "first = j if first is None else first",
            ("tests/test_classify.py::TestBlockScanDifferential",)),
     # the difference walk and the difference triangle
-    Mutant("walk stops one step early", CALCULUS,
-           "for _ in range(steps):",
-           "for _ in range(steps - 1):",
+    Mutant("walk starts one step late", CALCULUS,
+           "yield col\n        col = _difference(col, r, domain, var, 1)",
+           "col = _difference(col, r, domain, var, 1)\n        yield col",
+           (KERNELS + "TestDeltaPower::test_two_variable_table", "tests/test_calculus.py::TestMapDegree")),
+    Mutant("Taylor loop stops one step early", CALCULUS,
+           "for _ in range(d + 1):",
+           "for _ in range(d):",
            ("tests/test_calculus.py::TestTaylor",)),
     Mutant("triangle reads the wrong end of its row", UNI,
            "out += row[:width]",
@@ -128,13 +132,24 @@ MUTANTS = (
            ("tests/test_multi.py::TestRingOps::test_box_limit_counts_product_points",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
-           "col = _difference(col, r, f.domain_moduli, var, 1)",
-           "col = _difference(col, r, f.domain_moduli, 0, 1)",
+           "col = _difference(col, r, domain, var, 1)",
+           "col = _difference(col, r, domain, 0, 1)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("k = 1 returned unchanged", CALCULUS,
-           "for _ in range(k):",
-           "for _ in range(k if k != 1 else 0):",
+           "_walk(col, r, f.domain_moduli, var), k, None)",
+           "_walk(col, r, f.domain_moduli, var), k if k != 1 else 0, None)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
+    # the Taylor expansion's degree box and the box-to-column index map
+    Mutant("degree box clipped one short", CALCULUS,
+           "min(d, _degree_cap(q, f.codomain_moduli)) + 1",
+           "min(d, _degree_cap(q, f.codomain_moduli) - 1) + 1",
+           (KERNELS + "TestTaylorExpandMulti::test_bounds_beyond_the_periodic_bound",)),
+    Mutant("box cells wrap by the domain modulus", CALCULUS,
+           "wrap = list(range(0, m * stride, stride))\n"
+           "        offsets = wrap * (n // m) + wrap[:n % m]",
+           "wrap = list(range(0, q * stride, stride))\n"
+           "        offsets = wrap * (n // q) + wrap[:n % q]",
+           (KERNELS + "TestBoxCells::test_cases",)),
     Mutant("wrong _shifted cut", CALCULUS,
            "cut = step * block % span",
            "cut = step % span",

@@ -352,6 +352,18 @@ class TestCommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("doc", [
+        {"domain": [3, 2], "codomain": [4], "values": [0, 1, 2, 3, 0, 1]},
+        {"domain": [], "codomain": [4], "values": [1]},
+    ])
+    def test_taylor_shape_error_ignores_degree(self, run, problem_file, doc):
+        # the table's shape is checked before the degree search, so the
+        # error is the same with and without --degree
+        path = problem_file(json.dumps(doc))
+        found = run("taylor", path)
+        given = run("taylor", path, "--degree", "3")
+        assert found == given == (3, "", "error: taylor_expand needs a one-variable table\n")
+
     def test_interp(self, run, problem_file):
         doc = {"domain": [2, 2], "codomain": [2], "values": [1, 0, 0, 0]}
         code, out, _ = run("interp", problem_file(json.dumps(doc)))

@@ -16,7 +16,7 @@ from polyfract import (
 )
 from polyfract.errors import ModulusMismatch, NotADivisor, NotPrime, ZeroInput
 from polyfract.exactnum import factorization
-from polyfract.lagrange import cofract
+from polyfract.lagrange import cofract, lagrange_polyfract
 
 
 class TestBinom:
@@ -146,6 +146,13 @@ class TestPadicValuation:
 class TestHelpers:
     def test_is_prime(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    def test_is_prime_stops_at_the_first_factor(self):
+        # trial division of 2 * (2**61 - 1) to its square root would pass
+        # 1.5e9 divisors; the factor 2 settles it
+        assert is_prime(2 * (2**61 - 1)) is False
+        with pytest.raises(NotPrime, match=rf"^{2 * (2**61 - 1)} is not prime$"):
+            lagrange_polyfract(2 * (2**61 - 1), 1, 1, 0)
 
     def test_prime_factors(self):
         assert prime_factors(600) == {2: 3, 3: 1, 5: 2}

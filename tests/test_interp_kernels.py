@@ -17,12 +17,15 @@ rows must equal, hash like and be rejected like the one built from the
 same columns; ``value`` and ``residues`` must agree with the row view
 without building it.  ``delta_power`` must match iterated ``ref_apply_diff``,
 ``value_sum`` and ``taylor_expand_multi`` the row references
-``helpers.ref_value_sum`` and ``helpers.ref_taylor_terms``,
-``UniPolyfract.values`` (prefix sums) the per-point ``evaluate``, and the
-brute-force oracle's enumeration the per-point
-``helpers.ref_representable_tables``.
+``helpers.ref_value_sum`` and ``helpers.ref_taylor_terms`` (and, at the
+periodic degree bounds, ``interpolate_prime_power``), ``calculus._box_cells``
+``FiniteFn.index`` at every point of its box, ``UniPolyfract.values``
+(prefix sums) the per-point ``evaluate``, and the brute-force oracle's
+enumeration the per-point ``helpers.ref_representable_tables``.
 """
+from itertools import product
 from math import prod
+from operator import mod
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -42,7 +45,7 @@ from polyfract import (
     taylor_expand_multi,
     value_sum,
 )
-from polyfract.calculus import periodic_degree_bound
+from polyfract.calculus import _box_cells, periodic_degree_bound
 from polyfract.classify import _representable_tables
 from polyfract.errors import PreconditionFailed
 from polyfract.exactnum import canonical
@@ -404,6 +407,63 @@ class TestTaylorExpandMulti:
         f = FiniteFn((2,), (2, 4), ((0, 0), (0, 1)))
         with pytest.raises(PreconditionFailed, match="does not annihilate"):
             taylor_expand_multi(f, (0,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(prime_power_tables())
+    @example(FiniteFn((4, 2), (8,), tuple((v,) for v in (1, 6, 3, 0, 7, 2, 5, 4))))
+    def test_periodic_bounds_give_the_interpolant(self, f):
+        # every map between same-prime groups is polyfractal, so the
+        # periodic degree bounds meet the precondition and the expansion
+        # is the co-monofract interpolant
+        r = f.codomain_moduli[0]
+        bounds = [periodic_degree_bound(q, r) for q in f.domain_moduli]
+        assert taylor_expand_multi(f, bounds) == interpolate_prime_power(f)
+
+    def test_bounds_beyond_the_periodic_bound(self):
+        # g(x_0) + g(x_1) with g = (0, 3) on Z_2 -> Z_4, which is
+        # 3C(x, 1) + 2C(x, 2): degree 2, the periodic bound, in each variable
+        f = FiniteFn((2, 2), (4,), ((0,), (3,), (3,), (2,)))
+        expected = MultiPolyfract((4,), 2, (((0, 1), (3,)), ((0, 2), (2,)),
+                                            ((1, 0), (3,)), ((2, 0), (2,))))
+        assert interpolate_prime_power(f) == expected
+        for bounds in ((2, 2), (2, 300), (300, 300)):
+            assert taylor_expand_multi(f, bounds) == expected
+
+
+def _ref_box_cells(domain, shape, moduli):
+    """FiniteFn.index of x mod moduli at every point x of the box."""
+    f = FiniteFn(domain, (), ((),) * prod(domain))
+    return [f.index(tuple(map(mod, x, moduli))) for x in product(*map(range, shape))]
+
+
+@st.composite
+def box_cell_cases(draw):
+    """A domain of 0-3 cyclic factors, a box of up to 8 along each axis (so
+    empty axes and boxes larger than the domain) and moduli of at most the
+    domain factors."""
+    domain = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+    shape = tuple(draw(st.integers(0, 8)) for _ in domain)
+    moduli = tuple(draw(st.integers(1, q)) for q in domain)
+    return domain, shape, moduli
+
+
+class TestBoxCells:
+    @pytest.mark.parametrize("domain, shape, moduli", [
+        ((576,), (576,), (64,)),  # the block test on Z_576 with parts 64
+        ((4, 6), (4, 6), (2, 3)),  # a block test on two factors
+        ((24, 30), (8, 2), (8, 2)),  # represent's gather of one block
+        ((2, 3), (5, 7), (2, 3)),  # a periodic extension past the domain
+        ((6, 4), (9, 5), (4, 3)),  # moduli that do not divide the domain
+        ((3, 2), (7, 0), (3, 2)),  # an empty axis
+        ((), (), ()),
+    ])
+    def test_cases(self, domain, shape, moduli):
+        assert _box_cells(domain, shape, moduli) == _ref_box_cells(domain, shape, moduli)
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_cell_cases())
+    def test_matches_index(self, case):
+        assert _box_cells(*case) == _ref_box_cells(*case)
 
 
 # Composite moduli, prime powers, Z itself and the trivial group.
