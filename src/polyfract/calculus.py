@@ -298,7 +298,10 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     delta^k f(0), k = 0..d.
 
     Requires delta^(d+1) f == 0 on the whole (wrapped) domain; then the
-    returned polyfract matches f at every domain point.
+    returned polyfract matches f at every domain point.  A table that some
+    delta^(d+1) annihilates is a q-periodic polyfract, of degree at most
+    D = ``_degree_cap``, so delta^(min(d, D)+1) annihilates it exactly
+    when delta^(d+1) does, and only that many steps run.
 
     It steps through ``apply_diff``, one table per step, not ``_walk``:
     the benchmark's traced run requires ``calculus.apply_diff`` to fire on
@@ -306,9 +309,10 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     """
     d = _degree_bound(d)
     _check_univariate(f)
+    steps = min(d, _degree_cap(f.domain_moduli[0], f.codomain_moduli)) + 1
     op = DiffOp("delta")
     coeffs = []
-    for _ in range(d + 1):
+    for _ in range(steps):
         coeffs.append(f.columns[0][0])
         f = apply_diff(op, f)
     if not f.is_zero():
@@ -326,21 +330,23 @@ def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
     the table for every variable j separately (which pins the whole
     coefficient support inside the grid, so the expansion reproduces f),
     checked first with ``delta_power``, one variable after the other.
-    Then every line along variable j is a q_j-periodic polyfract of degree
-    at most D_j = ``_degree_cap``, so f's periodic extension on the box
-    prod_j [0..min(d_j, D_j)] fixes the coefficients (``multi._from_box``).
+    Every line along variable j that some difference power annihilates is
+    a q_j-periodic polyfract of degree at most D_j = ``_degree_cap``, so
+    the check runs delta_j^(min(d_j, D_j)+1), and f's periodic extension
+    on the box prod_j [0..min(d_j, D_j)] fixes the coefficients
+    (``multi._from_box``).
     """
     bounds = tuple(bounds)
     if len(bounds) != f.nvars:
         raise BadDomain("one bound per variable required")
     bounds = tuple(map(_degree_bound, bounds))
-    for var, d in enumerate(bounds):
-        if not delta_power(f, d + 1, var).is_zero():
+    sizes = tuple(min(d, _degree_cap(q, f.codomain_moduli)) + 1
+                  for d, q in zip(bounds, f.domain_moduli))
+    for var, (d, n) in enumerate(zip(bounds, sizes)):
+        if not delta_power(f, n, var).is_zero():
             raise PreconditionFailed(
                 f"difference power {d + 1} does not annihilate variable {var}"
             )
-    sizes = tuple(min(d, _degree_cap(q, f.codomain_moduli)) + 1
-                  for d, q in zip(bounds, f.domain_moduli))
     cells = _box_cells(f.domain_moduli, sizes, f.domain_moduli)
     return _from_box(f.codomain_moduli,
                      [[col[i] for i in cells] for col in f.columns], sizes)

@@ -202,7 +202,7 @@ def represent_univariate(f: FiniteFn) -> tuple[UniPolyfract, RationalPoly]:
         cod.unsplit(term_map.get((d,), zero))[0] for d in range(max_deg + 1)
     )
     poly = UniPolyfract(cod.moduli[0], coeffs)
-    return poly, poly.to_rational(lift="balanced")
+    return poly, poly.to_rational()
 
 
 def count_polyfractal(domain: Sequence[int], codomain: Sequence[int],

@@ -9,7 +9,8 @@ Problem files describe a map between products of cyclic groups:
 coordinate most significant); each entry encodes a codomain tuple the same
 way.  Polynomial files carry terms either in the ``binomial`` basis
 (integer coefficient strings, canonical representatives) or the
-``monomial`` basis (rational coefficient strings in lowest terms):
+``monomial`` basis (rational coefficient strings in lowest terms); either
+is parsed into the one polyfract it describes:
 
     {"basis": "binomial", "vars": 1, "codomain": [9],
      "terms": [[[0], ["1"]], [[1], ["8"]], ...]}
@@ -144,12 +145,12 @@ def emit_problem(f: FiniteFn) -> str:
 # polynomial files
 
 
-def parse_polynomial(text: str) -> tuple[str, MultiPolyfract | None,
-                                         RationalPolyMulti | None, tuple[int, ...]]:
-    """Parse a polynomial file.
+def parse_polynomial(text: str) -> MultiPolyfract:
+    """Parse a polynomial file into the polyfract it describes.
 
-    Returns (basis, polyfract, rational, codomain); exactly one of the two
-    payloads is set, matching the basis.
+    A monomial-basis file is converted with ``MultiPolyfract.from_rational``,
+    which raises NotIntegerValued for a polynomial that is not integer
+    valued.
     """
     data = _load_json(text)
     _require_keys(data, {"basis", "vars", "codomain", "terms"}, "polynomial file")
@@ -190,36 +191,29 @@ def parse_polynomial(text: str) -> tuple[str, MultiPolyfract | None,
             raise ValidationError(f"all-zero coefficients at {list(exp)}")
         terms.append((exp, coeffs))
     if basis == "binomial":
-        return basis, MultiPolyfract(codomain, nvars, tuple(terms)), None, codomain
-    return basis, None, RationalPolyMulti(nvars, len(codomain), tuple(terms)), codomain
+        return MultiPolyfract(codomain, nvars, tuple(terms))
+    return MultiPolyfract.from_rational(
+        RationalPolyMulti(nvars, len(codomain), tuple(terms)), codomain)
 
 
-def emit_polynomial(poly: MultiPolyfract | RationalPolyMulti,
-                    basis: str = "binomial",
-                    codomain: Sequence[int] | None = None) -> str:
-    """Serialize a polynomial deterministically in the requested basis.
+def emit_polynomial(poly: MultiPolyfract, basis: str = "binomial") -> str:
+    """Serialize a polyfract deterministically in the requested basis.
 
-    Accepts either a polyfract (emitted in either basis; monomial emission
-    expands the balanced coefficient lifts, so small negative coefficients
-    come out as small negative rationals) or an already-rational payload,
-    which needs an explicit target codomain and is always monomial.
+    Monomial emission expands the balanced coefficient lifts, so small
+    negative coefficients come out as small negative rationals.
     """
-    if isinstance(poly, RationalPolyMulti):
-        if codomain is None:
-            raise ValidationError("rational payloads need an explicit codomain")
-        basis, payload = "monomial", poly
-    elif basis == "binomial":
-        codomain, payload = poly.codomain, poly
+    if basis == "binomial":
+        payload = poly
     elif basis == "monomial":
         _check_leading_denominator(poly)
-        codomain, payload = poly.codomain, poly.to_rational(lift="balanced")
+        payload = poly.to_rational()
     else:
         raise ValidationError(f"unknown basis {basis!r}")
     with _printable():
         doc = {
             "basis": basis,
             "vars": poly.nvars,
-            "codomain": list(codomain),
+            "codomain": list(poly.codomain),
             "terms": [
                 [list(exp), [str(c) for c in coeffs]] for exp, coeffs in payload.terms
             ],
@@ -266,13 +260,6 @@ def _check_leading_denominator(poly: MultiPolyfract) -> None:
             den = fact // gcd(balanced_lift(c, r), fact)
             if (den.bit_length() - 1) * 30102 // 100000 >= limit:
                 raise _too_long()
-
-
-def _polyfract_from_file(text: str) -> MultiPolyfract:
-    basis, binomial, rational, codomain = parse_polynomial(text)
-    if binomial is not None:
-        return binomial
-    return MultiPolyfract.from_rational(rational, codomain)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +322,7 @@ def _cmd_interp(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    poly = _polyfract_from_file(_read(args.polynomial))
+    poly = parse_polynomial(_read(args.polynomial))
     if args.modulus is not None:
         if poly.width != 1:
             raise ValidationError("--modulus applies to single-component files")

@@ -28,10 +28,10 @@ from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, TooLarge
-from .exactnum import Residue, as_integer, binom, canonical
+from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
 from .uni import (
-    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _lifter,
-    _numerators, _to_monomial, box_coeffs, box_values,
+    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _numerators,
+    _to_monomial, box_coeffs, box_values,
 )
 
 __all__ = [
@@ -324,13 +324,13 @@ class MultiPolyfract:
                 flat[at] = c
         return flats
 
-    def to_rational(self, lift: str = "balanced") -> RationalPolyMulti:
-        """Monomial-basis representative with rational tuple coefficients."""
-        pick = _lifter(lift)
+    def to_rational(self) -> RationalPolyMulti:
+        """Monomial-basis representative with rational tuple coefficients,
+        expanded from the balanced lifts (``balanced_lift``)."""
         slots = []
         for i, r in enumerate(self.codomain):
             mono, den = _expand_to_monomials(
-                {e: pick(c, r) for e, c in self.slot_map(i).items()})
+                {e: balanced_lift(c, r) for e, c in self.slot_map(i).items()})
             slots.append({exp: Fraction(n, den) for exp, n in mono.items()})
         return RationalPolyMulti(self.nvars, self.width, _join_slots(slots))
 

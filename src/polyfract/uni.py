@@ -5,7 +5,8 @@ identified with the map Z -> Z_r it induces; that identification is
 injective, so canonical coefficient form (trailing zeros trimmed, canonical
 representatives) makes equality of values structural equality.
 
-Multiplication follows the five-step route: lift coefficients to integers,
+Multiplication follows the five-step route: lift coefficients to integers
+(the balanced lift, ``balanced_lift``, as every monomial expansion does),
 expand into the rational monomial basis, multiply there, re-express in the
 binomial basis, reduce mod r.  Every step runs on integer numerators over
 one shared denominator, and the two basis changes are one kernel pair:
@@ -289,16 +290,6 @@ def _binomial_coeffs(poly: _MPoly, den: int, nvars: int) -> dict[tuple[int, ...]
     return out
 
 
-def _lifter(lift: str) -> Callable[[int, int], int]:
-    """(c, r) -> the integer representative of c mod r that ``lift`` picks:
-    "balanced" (``balanced_lift``) or "canonical" (c itself)."""
-    if lift == "balanced":
-        return balanced_lift
-    if lift == "canonical":
-        return lambda c, modulus: c
-    raise ValueError(f"unknown lift {lift!r}")
-
-
 @dataclass(frozen=True)
 class RationalPoly:
     """Dense univariate polynomial over Q in the ordinary monomial basis.
@@ -420,27 +411,25 @@ class UniPolyfract:
         return self + (-other)
 
     def __mul__(self, other: "UniPolyfract") -> "UniPolyfract":
-        """Five-step product; lifts use the stored canonical representatives."""
+        """Five-step product of the two monomial-basis representatives."""
         self._check(other)
-        a = self.to_rational(lift="canonical")
-        b = other.to_rational(lift="canonical")
-        return UniPolyfract.from_rational(a * b, self.modulus)
+        return UniPolyfract.from_rational(self.to_rational() * other.to_rational(),
+                                          self.modulus)
 
     def difference(self) -> "UniPolyfract":
         """Coefficient-level forward difference: shifts the sequence down."""
         return UniPolyfract(self.modulus, self.coeffs[1:])
 
-    def to_rational(self, lift: str = "balanced") -> RationalPoly:
+    def to_rational(self) -> RationalPoly:
         """Monomial-basis representative over Q.
 
-        ``lift`` picks the integer representatives of the coefficients:
-        "balanced" (smallest absolute value, the readable output form) or
-        "canonical" (least nonnegative).  Either choice induces the same
-        map mod r.  The result is _to_monomial's numerators over (n-1)!,
-        n the number of coefficients.
+        The coefficients are lifted to their balanced representatives
+        (``balanced_lift``, smallest absolute value, the readable output
+        form); every integer lift induces the same map mod r.  The result
+        is _to_monomial's numerators over (n-1)!, n the number of
+        coefficients.
         """
-        pick = _lifter(lift)
-        lifted = [pick(c, self.modulus) for c in self.coeffs]
+        lifted = [balanced_lift(c, self.modulus) for c in self.coeffs]
         if not lifted:
             return RationalPoly()
         top = len(lifted) - 1

@@ -90,9 +90,13 @@ MUTANTS = (
            "col = _difference(col, r, domain, var, 1)\n        yield col",
            (KERNELS + "TestDeltaPower::test_two_variable_table", "tests/test_calculus.py::TestMapDegree")),
     Mutant("Taylor loop stops one step early", CALCULUS,
-           "for _ in range(d + 1):",
-           "for _ in range(d):",
+           "for _ in range(steps):",
+           "for _ in range(steps - 1):",
            ("tests/test_calculus.py::TestTaylor",)),
+    Mutant("Taylor steps clipped one short of the periodic bound", CALCULUS,
+           "min(d, _degree_cap(f.domain_moduli[0], f.codomain_moduli)) + 1",
+           "min(d, _degree_cap(f.domain_moduli[0], f.codomain_moduli) - 1) + 1",
+           ("tests/test_calculus.py::TestTaylor::test_degrees_beyond_the_periodic_bound",)),
     Mutant("triangle reads the wrong end of its row", UNI,
            "out += row[:width]",
            "out += row[-width:]",

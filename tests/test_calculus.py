@@ -241,6 +241,19 @@ class TestTaylor:
         f = FiniteFn.univariate(3, 9, [1, 0, 0])
         assert taylor_expand(f, 4) == UniPolyfract(9, (1, -1, 1, 0, -3))
 
+    def test_degrees_beyond_the_periodic_bound(self):
+        # the indicator Z_3 -> Z_9 has degree 4, the periodic bound, so
+        # every larger d gives the same expansion
+        f = FiniteFn.univariate(3, 9, [1, 0, 0])
+        for d in (4, 5, 2_000_000):
+            assert taylor_expand(f, d) == UniPolyfract(9, (1, -1, 1, 0, -3))
+        # no difference power annihilates x on Z_2 -> Z_3; the error still
+        # names the caller's d + 1
+        g = FiniteFn.univariate(2, 3, [0, 1])
+        with pytest.raises(PreconditionFailed,
+                           match="^difference power 1000001 does not annihilate the table$"):
+            taylor_expand(g, 10**6)
+
     def test_insufficient_degree(self):
         f = FiniteFn.univariate(3, 9, [1, 0, 0])
         with pytest.raises(PreconditionFailed):
@@ -315,6 +328,10 @@ class TestTaylor:
             with pytest.raises(PreconditionFailed, match=rf"^{message}$"):
                 taylor_expand_multi(f, bounds)
         assert taylor_expand_multi(f, (2, 1)).evaluate((1, 1)) == (Residue(3, 4),)
+        g = FiniteFn.from_callable((2, 2), (3,), lambda x: (x[0],))
+        with pytest.raises(PreconditionFailed,
+                           match="^difference power 30001 does not annihilate variable 0$"):
+            taylor_expand_multi(g, (30000, 0))
 
     def test_multivariate_non_integer_bound_rejected(self):
         f = FiniteFn.from_callable((2, 2), (4,), lambda x: (x[0] + 2 * x[1],))

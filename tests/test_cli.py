@@ -24,7 +24,7 @@ from polyfract.cli import (
     parse_polynomial,
     parse_problem,
 )
-from polyfract.errors import ParseError, TooLarge, ValidationError
+from polyfract.errors import NotIntegerValued, ParseError, TooLarge, ValidationError
 
 INDICATOR_PROBLEM = '{"domain": [3], "codomain": [9], "values": [1, 0, 0]}'
 
@@ -127,18 +127,30 @@ class TestPolynomialFiles:
     def test_binomial_round_trip(self):
         poly = MultiPolyfract.from_uni(UniPolyfract(9, (1, -1, 1, 0, -3)))
         text = emit_polynomial(poly, "binomial")
-        basis, parsed, rational, codomain = parse_polynomial(text)
-        assert basis == "binomial" and rational is None
-        assert parsed == poly and codomain == (9,)
+        assert json.loads(text)["basis"] == "binomial"
+        parsed = parse_polynomial(text)
+        assert parsed == poly and parsed.codomain == (9,)
         assert emit_polynomial(parsed, "binomial") == text
 
     def test_monomial_round_trip(self):
         poly = MultiPolyfract.from_uni(UniPolyfract(9, (1, -1, 1, 0, -3)))
         text = emit_polynomial(poly, "monomial")
-        basis, parsed, rational, codomain = parse_polynomial(text)
-        assert basis == "monomial" and parsed is None
-        back = MultiPolyfract.from_rational(rational, codomain)
-        assert back == poly
+        assert json.loads(text)["basis"] == "monomial"
+        assert parse_polynomial(text) == poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_parse_inverts_emit(self, data):
+        # moduli include Z (0) and the trivial group (1), and coefficients
+        # are any integers, which the constructor reduces
+        nvars = data.draw(st.integers(0, 3))
+        codomain = tuple(data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=3)))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * nvars),
+            st.tuples(*[st.integers(-10**6, 10**6)] * len(codomain)), max_size=5))
+        poly = MultiPolyfract(codomain, nvars, tuple(terms.items()))
+        for basis in ("binomial", "monomial"):
+            assert parse_polynomial(emit_polynomial(poly, basis)) == poly
 
     def test_emission_is_deterministic(self):
         poly = MultiPolyfract(
@@ -172,11 +184,11 @@ class TestPolynomialFiles:
 
     def test_rational_payload_round_trip(self):
         poly = MultiPolyfract.from_uni(UniPolyfract(9, (1, -1, 1, 0, -3)))
-        rational = poly.to_rational(lift="balanced")
-        text = emit_polynomial(rational, codomain=(9,))
-        assert text == emit_polynomial(poly, "monomial")
-        with pytest.raises(ValidationError):
-            emit_polynomial(rational)
+        rational = poly.to_rational()
+        text = emit_polynomial(poly, "monomial")
+        assert json.loads(text)["terms"] == [
+            [list(exp), [str(c) for c in coeffs]] for exp, coeffs in rational.terms]
+        assert MultiPolyfract.from_rational(rational, (9,)) == poly
 
 
 class TestMalformedFiles:
@@ -310,6 +322,9 @@ class TestCommands:
         assert code == 3
         assert out == ""
         assert err == "error: binomial coefficient at degree 2 is 2/3, not an integer\n"
+        # the file is rejected while it is parsed, before any evaluation
+        with pytest.raises(NotIntegerValued, match="^binomial coefficient at degree 2 "):
+            parse_polynomial(path.read_text())
 
     def test_eval_with_projection(self, run, problem_file, tmp_path):
         code, out, _ = run("represent", problem_file(INDICATOR_PROBLEM), "--merge")
@@ -345,6 +360,16 @@ class TestCommands:
         assert json.loads(out)["terms"] == [
             [[0], ["1"]], [[1], ["8"]], [[2], ["1"]], [[4], ["6"]],
         ]
+
+    def test_taylor_degree_beyond_the_periodic_bound(self, run, problem_file):
+        # every difference past the periodic bound 4 is zero, so a huge
+        # --degree expands in the bound's few steps
+        path = problem_file(INDICATOR_PROBLEM)
+        start = time.perf_counter()
+        huge = run("taylor", path, "--degree", "2000000")
+        assert time.perf_counter() - start < 1.0
+        assert huge == run("taylor", path, "--degree", "4")
+        assert huge[0] == 0
 
     def test_taylor_degree_too_small(self, run, problem_file):
         code, _, err = run(

@@ -1,9 +1,13 @@
 """Edge shapes, larger-parameter stress checks and argument checks."""
+import ast
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyfract
 from polyfract import (
     DiffOp,
     FiniteFn,
@@ -127,9 +131,7 @@ class TestEmissionFuzz:
         poly = MultiPolyfract(codomain, nvars, tuple(terms.items()))
         for basis in ("binomial", "monomial"):
             text = emit_polynomial(poly, basis)
-            _, binomial, rational, parsed_codomain = parse_polynomial(text)
-            restored = binomial if binomial is not None else \
-                MultiPolyfract.from_rational(rational, parsed_codomain)
+            restored = parse_polynomial(text)
             assert restored == poly
             assert emit_polynomial(restored, basis) == text
 
@@ -170,8 +172,6 @@ REJECTED = [
     ("oracle degree bound", lambda: brute_force_polyfractal(Z6, degree_bound=1.5),
      "degree bound 1.5 is not an integer"),
     ("valuation of a float", lambda: padic_valuation(12.5, 2), "n 12.5 is not an integer"),
-    ("lift of a zero-width polyfract",
-     lambda: MultiPolyfract.zero((), 1).to_rational(lift="bogus"), "unknown lift 'bogus'"),
     ("table index", lambda: Z6.index((2.5,)), "coordinate 2.5 is not an integer"),
     ("table value", lambda: Z6.value((2.0,)), "coordinate 2.0 is not an integer"),
     ("table residues", lambda: Z6.residues((2.5,)), "coordinate 2.5 is not an integer"),
@@ -213,3 +213,17 @@ class TestArgumentChecks:
         with pytest.raises(ValueError) as info:
             call()
         assert info.type is ValueError and str(info.value) == message
+
+
+def test_only_the_monomial_edge_imports_fractions():
+    # Fraction belongs to the monomial-basis I/O boundary: the polyfract
+    # modules and the command line that parses and emits monomial files
+    importers = set()
+    for info in pkgutil.iter_modules(polyfract.__path__):
+        path = Path(polyfract.__path__[0]) / f"{info.name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in names:
+                importers.add(info.name)
+    assert importers == {"uni", "multi", "cli"}

@@ -43,8 +43,6 @@ from helpers import (
     ref_to_rational,
 )
 
-LIFTS = ("balanced", "canonical")
-
 
 def outcome(fn, *args):
     """("ok", result) or ("rejected", message) for either implementation."""
@@ -72,7 +70,8 @@ def rational_polys(draw):
     """A polyfract's monomial form, integer valued; half of them shifted
     by small fractions, which mostly makes them not integer valued."""
     base = draw(uni_polyfracts(max_len=10))
-    coeffs = list(base.to_rational(lift="canonical").coeffs)
+    # the canonical lifts: over Z each lift is the coefficient itself
+    coeffs = list(UniPolyfract(0, base.coeffs).to_rational().coeffs)
     if draw(st.booleans()):
         noise = draw(st.lists(fractions, min_size=1, max_size=10))
         coeffs += [Fraction(0)] * (len(noise) - len(coeffs))
@@ -148,8 +147,7 @@ class TestUnivariate:
     @given(uni_polyfracts())
     @settings(max_examples=150, deadline=None)
     def test_to_rational(self, p):
-        for lift in LIFTS:
-            assert p.to_rational(lift).coeffs == ref_to_rational(p.coeffs, p.modulus, lift)
+        assert p.to_rational().coeffs == ref_to_rational(p.coeffs, p.modulus, "balanced")
 
     @given(rational_polys(), moduli)
     @settings(max_examples=200, deadline=None)
@@ -184,11 +182,10 @@ class TestMultivariate:
     @given(multi_polyfracts())
     @settings(max_examples=120, deadline=None)
     def test_to_rational(self, p):
-        for lift in LIFTS:
-            got = p.to_rational(lift)
-            for i, r in enumerate(p.codomain):
-                lifted = {e: ref_lift(c, r, lift) for e, c in ref_slot(p.terms, i).items()}
-                assert ref_slot(got.terms, i) == ref_expand(lifted)
+        got = p.to_rational()
+        for i, r in enumerate(p.codomain):
+            lifted = {e: ref_lift(c, r, "balanced") for e, c in ref_slot(p.terms, i).items()}
+            assert ref_slot(got.terms, i) == ref_expand(lifted)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -196,7 +193,9 @@ class TestMultivariate:
         nvars = data.draw(st.integers(0, 3))
         codomain = tuple(data.draw(st.lists(moduli, min_size=1, max_size=2)))
         base = data.draw(multi_polyfracts(nvars=nvars, codomain=codomain, max_exp=3))
-        terms = dict(base.to_rational(lift="canonical").terms)
+        # the canonical lifts: over Z each lift is the coefficient itself
+        over_z = MultiPolyfract((0,) * len(codomain), nvars, base.terms)
+        terms = dict(over_z.to_rational().terms)
         for _ in range(data.draw(st.integers(0, 2))):
             exp = tuple(data.draw(st.integers(0, 3)) for _ in range(nvars))
             noise = tuple(data.draw(fractions) for _ in codomain)
