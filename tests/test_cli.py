@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,6 +28,15 @@ from polyfract.cli import (
 from polyfract.errors import NotIntegerValued, ParseError, TooLarge, ValidationError
 
 INDICATOR_PROBLEM = '{"domain": [3], "codomain": [9], "values": [1, 0, 0]}'
+
+
+def run_module(*argv, timeout):
+    """``python -m polyfract`` on this source tree in a fresh interpreter."""
+    src = Path(polyfract.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "polyfract", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -461,11 +471,7 @@ class TestCommands:
     def test_python_dash_m_runs_the_cli(self, run):
         argv = ("cofract", "3", "3", "9", "1")
         code, out, err = run(*argv)
-        src = Path(polyfract.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-m", "polyfract", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_module(*argv, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
     def test_parse_error_exit_code(self, run, problem_file):
@@ -762,6 +768,36 @@ def parse_outcome(parse, argv):
         except SystemExit as exc:
             ending = ("exit", exc.code)
     return ending, out.getvalue(), err.getvalue()
+
+
+class TestLargeTables:
+    """A random map Z_2048 -> Z_2 interpolates and classifies well inside
+    the timeout: each of its 2048 weight rows is one difference step."""
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        rng = random.Random(2048)
+        values = [rng.randrange(2) for _ in range(2048)]
+        path = tmp_path_factory.mktemp("large") / "z2048.json"
+        path.write_text(json.dumps({"domain": [2048], "codomain": [2], "values": values}))
+        return str(path), values
+
+    @pytest.fixture(scope="class")
+    def interpolant(self, table):
+        proc = run_module("interp", table[0], timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return parse_polynomial(proc.stdout)
+
+    def test_interp_evaluates_back_to_the_table(self, table, interpolant):
+        assert interpolant.component_uni(0).values(0, 2048) == table[1]
+
+    def test_classify_reports_the_interpolant(self, table, interpolant):
+        proc = run_module("classify", table[0], timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        degree = max(exp for (exp,), _ in interpolant.terms)
+        assert proc.stdout.splitlines() == [
+            "polyfractal: yes", "variables: 1", "split codomain: [2]",
+            f"terms: {len(interpolant.terms)}", f"total degree: {degree}"]
 
 
 class TestArgumentHandling:

@@ -3,9 +3,12 @@ whole-table evaluation against their references.
 
 ``exactnum.binom`` must match the falling-factorial formula, ``cofract``
 its definition over ``math.comb`` (``helpers.ref_cofract``) and reject
-each bad argument with a fixed exception and message, each weight row of
-``lagrange._weights`` the same definition once padded with the zeros it
-leaves out,
+each bad argument with a fixed exception and message.  ``lagrange._weights``
+builds each weight row from the one before by Pascal's rule, one cyclic
+difference step, from the point indicator (whose one nonzero weight comes
+from ``cofract``); every row must equal the same definition once padded
+with the zeros it leaves out, on small tables (Z_1 included), on the
+interp workload's largest (q, r) and on a sweep of prime powers.
 ``interpolate_prime_power`` the per-coefficient co-monofract sum
 (``helpers.ref_interpolate_prime_power``) and ``apply_diff`` the per-cell
 difference rebuilt through ``FiniteFn``'s constructor
@@ -127,17 +130,40 @@ WEIGHT_DOMAINS = ((1, 2), (2, 2), (4, 2), (8, 2), (16, 2), (3, 3), (9, 3), (27, 
                   (5, 5), (25, 5))
 
 
+# The interp workload's largest (q, r) pairs.
+WORKLOAD_WEIGHTS = ((128, 4), (125, 25), (81, 9), (64, 8), (49, 7), (9, 81))
+# (q, r) for p in {2, 3, 5, 7}, alpha <= 3 (0 gives Z_1) and beta <= 4
+# whose reference table, about q * (d + 1)^2 terms, stays under a second.
+SWEEP_WEIGHTS = tuple(
+    (p**alpha, p**beta) for p in (2, 3, 5, 7) for alpha in range(4) for beta in range(1, 5)
+    if p**alpha * (periodic_degree_bound(p**alpha, p**beta) + 1) ** 2 <= 20_000_000)
+
+
+def _check_weight_rows(q, r):
+    """Each row of ``_weights(q, r)``, padded with the zeros it leaves out,
+    is the row of co-monofracts by their definition."""
+    rows = _weights(q, r)
+    assert len(rows) == periodic_degree_bound(q, r) + 1
+    for delta, row in enumerate(rows):
+        assert type(row) is tuple and len(row) == min(delta, q - 1) + 1
+        padded = row + (0,) * (q - len(row))
+        assert padded == tuple(ref_cofract(delta, q, r, delta - x) for x in range(q))
+
+
 class TestWeights:
     @pytest.mark.parametrize("q, p", WEIGHT_DOMAINS)
     @pytest.mark.parametrize("beta", (1, 2, 3))
     def test_rows_are_the_nonzero_prefixes(self, q, p, beta):
-        r = p**beta
-        rows = _weights(q, r)
-        assert len(rows) == periodic_degree_bound(q, r) + 1
-        for delta, row in enumerate(rows):
-            assert type(row) is tuple and len(row) == min(delta, q - 1) + 1
-            padded = row + (0,) * (q - len(row))
-            assert padded == tuple(ref_cofract(delta, q, r, delta - x) for x in range(q))
+        _check_weight_rows(q, p**beta)
+
+    @pytest.mark.parametrize("q, r", WORKLOAD_WEIGHTS)
+    def test_workload_pairs(self, q, r):
+        _check_weight_rows(q, r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SWEEP_WEIGHTS))
+    def test_matches_definition(self, qr):
+        _check_weight_rows(*qr)
 
 
 # Largest alpha per (prime, number of variables), so the reference's
