@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import prod
-from operator import index, sub
+from operator import index, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -179,8 +179,8 @@ class FiniteFn:
 class DiffOp:
     """A shift T^s, forward difference, or stride difference in one variable.
 
-    kinds: "shift" (f(x + s*e_i)), "delta" (f(x + e_i) - f(x)) and
-    "stride" (f(x + s*e_i) - f(x), the T^s - Id operator).
+    kinds: "shift" (f(x + s*e_i)), "delta" (f(x + e_i) - f(x), stride 1
+    only) and "stride" (f(x + s*e_i) - f(x), the T^s - Id operator).
     """
 
     kind: str
@@ -190,7 +190,10 @@ class DiffOp:
     def __post_init__(self):
         if self.kind not in ("shift", "delta", "stride"):
             raise ValueError(f"unknown difference kind {self.kind!r}")
-        object.__setattr__(self, "stride", at_least(self.stride, 1, "stride"))
+        stride = at_least(self.stride, 1, "stride")
+        if self.kind == "delta" and stride != 1:
+            raise ValueError(f"delta stride must be 1, got {stride}")
+        object.__setattr__(self, "stride", stride)
 
 
 def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> list:
@@ -239,7 +242,7 @@ def _difference(col: tuple, r: int, domain: tuple[int, ...], var: int,
 def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     """Apply a difference operator to each codomain column; indices wrap
     mod q_var.  A shift only rotates the column; the differences run
-    ``_difference``, the step ``_walk`` repeats.
+    ``_difference``.
     """
     var = _check_var(f, op.var)
     domain = f.domain_moduli
@@ -251,14 +254,6 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
         columns = tuple([_difference(col, r, domain, var, step)
                          for col, r in zip(f.columns, f.codomain_moduli)])
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
-
-
-def _walk(col: tuple, r: int, domain: tuple[int, ...], var: int) -> Iterator[tuple]:
-    """One column of f, delta f, delta^2 f, ... along a checked variable,
-    without end and with no table built, for ``map_degree``."""
-    while True:
-        yield col
-        col = _difference(col, r, domain, var, 1)
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
@@ -303,9 +298,10 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     D = ``_degree_cap``, so delta^(min(d, D)+1) annihilates it exactly
     when delta^(d+1) does, and only that many steps run.
 
-    It steps through ``apply_diff``, one table per step, not ``_walk``:
-    the benchmark's traced run requires ``calculus.apply_diff`` to fire on
-    interp and certify (ROADMAP item 1), and only this loop calls it.
+    It steps through ``apply_diff``, one table per step, not a plain
+    ``_difference`` loop: the benchmark's traced run requires
+    ``calculus.apply_diff`` to fire on interp and certify (ROADMAP item
+    1), and only this loop calls it.
     """
     d = _degree_bound(d)
     _check_univariate(f)
@@ -386,34 +382,40 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     """Partial degree of the map: one less than the smallest difference
     power that annihilates it; None for the zero map.
 
-    Searches up to the blockwise degree bound plus one; maps that are not
-    annihilated by then never are, and NotAnnihilated is raised.
+    Steps every column with ``_difference``, as ``delta_power`` does, up
+    to the blockwise degree bound plus one; maps that are not annihilated
+    by then never are, and NotAnnihilated is raised.
     """
     var = _check_var(f, var)
     bound = _degree_cap(f.domain_moduli[var], f.codomain_moduli)
-    walks = [_walk(col, r, f.domain_moduli, var)
-             for col, r in zip(f.columns, f.codomain_moduli)]
-    for applied in range(bound + 2):
-        if not any(map(any, [next(walk) for walk in walks])):
-            return applied - 1 if applied else None
-    raise NotAnnihilated(
-        f"no difference power up to {bound + 1} annihilates variable {var}"
-    )
+    columns = list(f.columns)
+    applied = 0
+    while any(map(any, columns)):
+        if applied > bound:
+            raise NotAnnihilated(
+                f"no difference power up to {bound + 1} annihilates variable {var}"
+            )
+        for i, r in enumerate(f.codomain_moduli):
+            columns[i] = _difference(columns[i], r, f.domain_moduli, var, 1)
+        applied += 1
+    return applied - 1 if applied else None
 
 
 def hrycaj_periodicity(p: UniPolyfract, q: int) -> bool:
     """Coefficient criterion for q-periodicity of a polyfractal map.
 
     True iff sum_j C(q, j) * P_(d+j), j = 1..q, vanishes mod r for every
-    d up to the degree; equivalent to P(x + q) = P(x) for all x.
+    d up to the degree; equivalent to P(x + q) = P(x) for all x.  The q
+    taps C(q, j) mod r are computed once for all d.
     """
     q = at_least(q, 1, "period")
     deg = p.degree
     if deg is None:
         return True
+    r = p.modulus
+    taps = [canonical(binom(q, j), r) for j in range(1, q + 1)]
     for d in range(deg + 1):
-        s = sum(binom(q, j) * p.coefficient(d + j) for j in range(1, q + 1))
-        if canonical(s, p.modulus) != 0:
+        if canonical(sum(map(mul, taps, p.coeffs[d + 1:d + q + 1])), r) != 0:
             return False
     return True
 

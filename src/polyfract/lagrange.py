@@ -19,7 +19,7 @@ from .exactnum import (
     Residue, as_integer, at_least, binom, check_modulus, factorization, is_prime,
 )
 from .multi import MultiPolyfract
-from .uni import UniPolyfract, table_values
+from .uni import UniPolyfract, box_values
 
 __all__ = [
     "cofract",
@@ -183,5 +183,5 @@ def extend_information_coeffs(info: Sequence[int], p: int, alpha: int,
     if len(info) != q:
         raise LengthMismatch(f"expected {q} information coefficients, got {len(info)}")
     info = [as_integer(v, "information coefficient") % r for v in info]
-    table = FiniteFn.univariate(q, r, table_values(info, r, 0, q))
+    table = FiniteFn.univariate(q, r, box_values(info, (q,), (q,), r))
     return interpolate_prime_power(table).component_uni(0)

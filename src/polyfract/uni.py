@@ -20,19 +20,18 @@ for one variable and by ``exponent (e_1, ..., e_n)`` otherwise.
 ``Fraction`` appears only in the ``RationalPoly`` values handed across the
 monomial-basis edge.
 
-Whole value tables come from ``table_values``, the inverse of the
-forward-difference transform: iterated prefix sums of the differences
-at the first point, with no binomial per point.  ``box_values`` and
-``box_coeffs`` are the same pair on a box of n variables, one axis at a
-time on one flat integer list: coefficients to values, and the difference
-triangle back.  ``MultiPolyfract``'s product and ``compose`` run on them.
+Coefficients and values are one transform pair, ``box_values`` (Newton
+steps) and ``box_coeffs`` (the difference triangle), run one axis at a
+time on a flat integer box of any number of variables, with no binomial
+per point.  ``UniPolyfract.values``, ``coeffs_from_values`` and
+``MultiPolyfract``'s product and ``compose`` all run on them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 from math import factorial, lcm, prod
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
@@ -49,7 +48,6 @@ __all__ = [
     "box_coeffs",
     "box_values",
     "coeffs_from_values",
-    "table_values",
 ]
 
 
@@ -86,30 +84,6 @@ def _to_falling(nums: Sequence[int]) -> list[int]:
             work[j] += k * work[j + 1]
         out.append(work.pop(0))
     return out
-
-
-def table_values(coeffs: Sequence[int], modulus: int, start: int,
-                 stop: int) -> list[int]:
-    """Values sum_d coeffs[d]*C(x, d) for start <= x < stop, reduced mod
-    modulus (left as integers for modulus 0).
-
-    Row k holds Delta^k P(x) for x = start..stop-1: it starts at
-    Delta^k P(start) and goes on by the prefix sums of row k+1, so m - 1
-    prefix sums from the constant top row down cost O(n*m) additions.
-    Delta^k P(0) = P_k; elsewhere Delta^k P(start) = sum_j P_j*C(start, j-k).
-    Only the last row is reduced, which is faster on the sweeps' small
-    tables; the rows grow by about log2(n) bits each.
-    """
-    n = stop - start
-    if n <= 0:
-        return []
-    if not coeffs:
-        return [0] * n
-    diffs = coeffs if start == 0 else _differences_at(coeffs, start)
-    row = [diffs[-1]] * n
-    for d in reversed(diffs[:-1]):
-        row = list(accumulate(row[:-1], initial=d))
-    return [v % modulus for v in row] if modulus else row
 
 
 def _values_along(col: list[int], n: int, width: int) -> list[int]:
@@ -149,8 +123,11 @@ def _by_axis(flat: Sequence[int], shape: Sequence[int], sizes: Sequence[int],
     m entries become m blocks holding that entry of every line along it,
     and ``step`` covers all lines at once.  After all axes the order is
     row-major again.  The result is reduced mod modulus after each axis
-    and stays in Z for modulus 0.
+    and stays in Z for modulus 0.  A box with a side of 0 holds no
+    coefficients or no points: its values are zeros, as many as sizes holds.
     """
+    if not all(chain(shape, sizes)):
+        return [0] * prod(sizes)
     for m, n in zip(reversed(shape), reversed(sizes)):
         column = list(chain.from_iterable(flat[i::m] for i in range(m)))
         flat = step(column, n, len(flat) // m)
@@ -385,10 +362,12 @@ class UniPolyfract:
         return Residue(total, self.modulus)
 
     def values(self, start: int, stop: int) -> list[int]:
-        """Canonical values at start..stop-1, the whole table at once
-        (``table_values``); ``evaluate`` is the per-point route."""
-        return table_values(self.coeffs, self.modulus, as_integer(start, "start"),
-                            as_integer(stop, "stop"))
+        """Canonical values at start..stop-1, the whole table at once: the
+        one-axis ``box_values`` on the differences at start;
+        ``evaluate`` is the per-point route."""
+        start, stop = as_integer(start, "start"), as_integer(stop, "stop")
+        diffs = self.coeffs if start == 0 else _differences_at(self.coeffs, start)
+        return box_values(diffs, (len(diffs),), (max(stop - start, 0),), self.modulus)
 
     def _check(self, other: "UniPolyfract") -> None:
         if self.modulus != other.modulus:
@@ -446,9 +425,9 @@ class UniPolyfract:
 def coeffs_from_values(values: Sequence[Residue]) -> tuple[Residue, ...]:
     """Binomial-basis coefficients from consecutive values f(0..m).
 
-    The difference triangle of the values: P_d = Delta^d f(0) is the
-    first entry of row d, and row d+1 holds the differences of row d.
-    The inverse of evaluation at 0..m for polyfracts of degree <= m.
+    The one-axis ``box_coeffs``: P_d = Delta^d f(0) is the first entry of
+    row d of the difference triangle.  The inverse of evaluation at 0..m
+    for polyfracts of degree <= m.
     """
     if not values:
         return ()
@@ -456,5 +435,5 @@ def coeffs_from_values(values: Sequence[Residue]) -> tuple[Residue, ...]:
     for v in values[1:]:
         if v.modulus != modulus:
             raise ModulusMismatch("values do not share a modulus")
-    diffs = _triangle([v.value for v in values], len(values), 1)
+    diffs = box_coeffs([v.value for v in values], (len(values),), modulus)
     return tuple(Residue(d, modulus) for d in diffs)

@@ -52,8 +52,8 @@ MUTANTS = (
            "row.append(row[-1] * (start - i) // i)",
            (KERNELS + "TestTableValues",)),
     Mutant("dropped last value", UNI,
-           "row = [diffs[-1]] * n",
-           "row = [diffs[-1]] * (n - 1)",
+           "(max(stop - start, 0),)",
+           "(max(stop - start - 1, 0),)",
            (KERNELS + "TestTableValues",)),
     Mutant("periodicity on too few points", "src/polyfract/classify.py",
            "elif sums[q:] == sums[:bound]:",
@@ -96,10 +96,12 @@ MUTANTS = (
            "first = j if first is None else min(first, j)",
            "first = j if first is None else first",
            ("tests/test_classify.py::TestBlockScanDifferential",)),
-    # the difference walk and the difference triangle
-    Mutant("walk starts one step late", CALCULUS,
-           "yield col\n        col = _difference(col, r, domain, var, 1)",
-           "col = _difference(col, r, domain, var, 1)\n        yield col",
+    # the degree search and the difference triangle
+    Mutant("degree search starts one step late", CALCULUS,
+           "columns = list(f.columns)\n    applied = 0",
+           "columns = [_difference(col, r, f.domain_moduli, var, 1)\n"
+           "               for col, r in zip(f.columns, f.codomain_moduli)]\n"
+           "    applied = 0",
            ("tests/test_calculus.py::TestMapDegree",)),
     Mutant("Taylor loop stops one step early", CALCULUS,
            "for _ in range(steps):",
@@ -114,6 +116,10 @@ MUTANTS = (
            "out += row[-width:]",
            ("tests/test_uni.py::TestCoeffsFromValues",)),
     # the degree-box kernels behind the product and compose
+    Mutant("empty-box guard dropped", UNI,
+           "    if not all(chain(shape, sizes)):\n        return [0] * prod(sizes)\n",
+           "",
+           (BOX,)),
     Mutant("one axis skipped", UNI,
            "for m, n in zip(reversed(shape), reversed(sizes)):",
            "for m, n in zip(reversed(shape[1:]), reversed(sizes[1:])):",
@@ -148,8 +154,8 @@ MUTANTS = (
            ("tests/test_multi.py::TestRingOps::test_box_limit_counts_product_points",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
-           "_difference(columns[i], r, f.domain_moduli, var, 1)",
-           "_difference(columns[i], r, f.domain_moduli, 0, 1)",
+           "range(k):\n            columns[i] = _difference(columns[i], r, f.domain_moduli, var, 1)",
+           "range(k):\n            columns[i] = _difference(columns[i], r, f.domain_moduli, 0, 1)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("k = 1 returned unchanged", CALCULUS,
            "for _ in range(k):",

@@ -145,6 +145,7 @@ PERIODIC = UniPolyfract(4, (1, 2))
 # Each check that rejects an integer out of range, with its exact message.
 OUT_OF_RANGE = [
     ("stride", lambda: DiffOp("stride", 0, 0), "stride must be >= 1"),
+    ("delta stride", lambda: DiffOp("delta", 0, 3), "delta stride must be 1, got 3"),
     ("difference power", lambda: delta_power(Z6, -1), "difference power must be >= 0"),
     ("period of the degree bound", lambda: periodic_degree_bound(0, 4),
      "period must be >= 1"),

@@ -118,9 +118,11 @@ def box_reference(coeffs, shape, sizes, r):
 
 class TestBoxKernels:
     # shapes with one line (one variable), a few long lines (2 lines of
-    # 9), many short lines, and no axis at all
+    # 9), many short lines, no axis at all, and empty boxes: no
+    # coefficients, or no points
     CASES = [((7,), (13,)), ((2, 9), (3, 17)), ((4, 3), (7, 5)),
-             ((2, 3, 2), (3, 5, 4)), ((), ())]
+             ((2, 3, 2), (3, 5, 4)), ((), ()),
+             ((0,), (3,)), ((2,), (0,)), ((2, 2), (2, 0))]
 
     @pytest.mark.parametrize("shape, sizes", CASES)
     @pytest.mark.parametrize("r", [0, 1, 6, 97])
