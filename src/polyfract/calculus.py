@@ -138,19 +138,15 @@ class FiniteFn:
         return prod(self.domain_moduli)
 
     def index(self, x: Sequence[int]) -> int:
-        """Position of x in the columns; a coordinate that is not an
-        integer raises ValueError, checked only once the index has failed."""
+        """Position of x in the columns.  Each coordinate is checked before
+        it wraps mod its period: one that is not an integer raises
+        ValueError naming it."""
         if len(x) != len(self.domain_moduli):
             raise ArityMismatch(f"point {tuple(x)} needs {self.nvars} coordinates")
         idx = 0
-        try:
-            for xi, q in zip(x, self.domain_moduli):
-                idx = idx * q + (xi % q)
-            return index(idx)
-        except TypeError:
-            for xi in x:
-                as_integer(xi, "coordinate")
-            raise
+        for xi, q in zip(x, self.domain_moduli):
+            idx = idx * q + as_integer(xi, "coordinate") % q
+        return idx
 
     def point(self, idx: int) -> tuple[int, ...]:
         coords = []
@@ -250,8 +246,7 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
         columns = tuple([tuple(_shifted(col, domain, var, op.stride))
                          for col in f.columns])
     else:
-        step = 1 if op.kind == "delta" else op.stride
-        columns = tuple([_difference(col, r, domain, var, step)
+        columns = tuple([_difference(col, r, domain, var, op.stride)
                          for col, r in zip(f.columns, f.codomain_moduli)])
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
 

@@ -90,7 +90,6 @@ class Witness:
 class ClassificationResult:
     polyfractal: bool
     counterexample: Counterexample | None = None
-    witness: Witness | None = None
 
 
 def is_polyfractal(f: FiniteFn) -> ClassificationResult:

@@ -108,16 +108,6 @@ class Residue:
         value = as_integer(self.value, "value")
         object.__setattr__(self, "value", canonical(value, self.modulus))
 
-    @classmethod
-    def _trusted(cls, value: int, modulus: int) -> "Residue":
-        """Build without ``__post_init__``.  The caller guarantees an int
-        value and an int modulus >= 0; the value is reduced here, once.
-        The fields go straight into the instance dict, which the frozen
-        ``__setattr__`` only guards."""
-        x = object.__new__(cls)
-        x.__dict__.update(value=value % modulus if modulus else value, modulus=modulus)
-        return x
-
     def _check(self, other: "Residue") -> None:
         if self.modulus != other.modulus:
             raise ModulusMismatch(

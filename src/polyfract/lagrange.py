@@ -15,9 +15,7 @@ from typing import Sequence
 
 from .calculus import FiniteFn, _difference, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
-from .exactnum import (
-    Residue, as_integer, at_least, binom, check_modulus, factorization, is_prime,
-)
+from .exactnum import Residue, as_integer, at_least, binom, factorization, is_prime
 from .multi import MultiPolyfract
 from .uni import UniPolyfract, box_values
 
@@ -35,28 +33,19 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
 
     Sums (-1)^xh * C(d, xh) over all xh congruent to x mod q with
     0 <= xh <= d (at most floor(d/q) + 1 terms) and reduces mod r; the
-    sign uses the actual integer representative xh.  The modulus is
-    checked after the sum, so a bad d, q or x is reported first, and the
-    result is built reduced once.  A d, q or x that is not an integer
-    raises ValueError, checked only once the sum has failed on it.
+    sign uses the actual integer representative xh.  q, d and x are
+    checked first, in that order: each must be an integer, q >= 1 and
+    d >= 0, else ValueError names it.  The modulus r is checked by
+    ``Residue`` after the sum.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    q, d, x = at_least(q, 1, "q"), at_least(d, 0, "d"), as_integer(x, "x")
     total = 0
-    try:
-        for xh in range(x % q, d + 1, q):
-            if xh & 1:
-                total -= binom(d, xh)
-            else:
-                total += binom(d, xh)
-    except TypeError:
-        for value, what in ((d, "d"), (q, "q"), (x, "x")):
-            as_integer(value, what)
-        raise
-    check_modulus(r)
-    return Residue._trusted(total, r)
+    for xh in range(x % q, d + 1, q):
+        if xh & 1:
+            total -= binom(d, xh)
+        else:
+            total += binom(d, xh)
+    return Residue(total, r)
 
 
 @lru_cache(maxsize=64)

@@ -211,28 +211,25 @@ class MultiPolyfract:
     # -- evaluation and calculus ----------------------------------------
 
     def evaluate(self, x: Sequence[int]) -> tuple[Residue, ...]:
-        """Values at x, one residue per slot; a coordinate that is not an
-        integer raises ValueError, checked only once ``binom`` has failed."""
+        """Values at x, one residue per slot.  Every coordinate is checked
+        before any term is summed: one that is not an integer raises
+        ValueError naming it, even where each term's binomial is 0."""
         if len(x) != self.nvars:
             raise ArityMismatch(
                 f"point has {len(x)} coordinates, polyfract has {self.nvars}"
             )
+        x = [as_integer(xi, "coordinate") for xi in x]
         acc = [0] * self.width
-        try:
-            for exp, coeffs in self.terms:
-                mono = 1
-                for xi, e in zip(x, exp):
-                    mono *= binom(xi, e)
-                    if not mono:
-                        break
+        for exp, coeffs in self.terms:
+            mono = 1
+            for xi, e in zip(x, exp):
+                mono *= binom(xi, e)
                 if not mono:
-                    continue
-                for i, c in enumerate(coeffs):
-                    acc[i] += c * mono
-        except TypeError:
-            for xi in x:
-                as_integer(xi, "coordinate")
-            raise
+                    break
+            if not mono:
+                continue
+            for i, c in enumerate(coeffs):
+                acc[i] += c * mono
         return tuple(Residue(v, r) for v, r in zip(acc, self.codomain))
 
     def difference(self, var: int) -> "MultiPolyfract":

@@ -41,6 +41,7 @@ MULTI = "src/polyfract/multi.py"
 UNI = "src/polyfract/uni.py"
 KERNELS = "tests/test_interp_kernels.py::"
 BOX = "tests/test_kernels.py::TestBoxKernels"
+EDGE_REJECTED = "tests/test_edges.py::TestArgumentChecks::test_rejected_argument"
 PRODUCT = ("tests/test_kernels.py::TestMultivariate::test_product_cases",
            "tests/test_kernels.py::TestMultivariate::test_dense_one_variable_matches_univariate",
            "tests/test_kernels.py::TestMultivariate::test_compose_case")
@@ -84,8 +85,8 @@ MUTANTS = (
            "        rows.append(row[:min(delta, q - 1) + 1])",
            (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",)),
     Mutant("cofract reduction dropped", EXACTNUM,
-           "value=value % modulus if modulus else value",
-           "value=value",
+           'object.__setattr__(self, "value", canonical(value, self.modulus))',
+           'object.__setattr__(self, "value", value)',
            (KERNELS + "TestCofract",)),
     # the block test
     Mutant("block point by the full modulus", "src/polyfract/classify.py",
@@ -216,6 +217,12 @@ MUTANTS = (
            "count = 0",
            "count = 1",
            ("tests/test_cli.py::TestCommands::test_certify_quick",)),
+    # a point is checked before its terms are summed
+    Mutant("point checked only where a binomial fails", MULTI,
+           '        x = [as_integer(xi, "coordinate") for xi in x]\n',
+           "",
+           (EDGE_REJECTED + "[multivariate point after a zero binomial]",
+            EDGE_REJECTED + "[multivariate point of zero]")),
     # the shared argument check and division loop
     Mutant("range check lets the minimum minus one through", EXACTNUM,
            "if value < minimum:",

@@ -201,6 +201,90 @@ class TestPolynomialFiles:
         assert MultiPolyfract.from_rational(rational, (9,)) == poly
 
 
+# Small JSON values to put where a file field or entry belongs.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(-4, 4),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def small_problem(draw):
+    """A well-formed problem file of at most 36 points."""
+    domain = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    codomain = draw(st.lists(st.integers(1, 9), min_size=1, max_size=2))
+    size, span = math.prod(domain), math.prod(codomain)
+    values = draw(st.lists(st.integers(0, span - 1), min_size=size, max_size=size))
+    return {"domain": domain, "codomain": codomain, "values": values}
+
+
+@st.composite
+def small_polynomial(draw):
+    """A well-formed polynomial file of either basis, exponents at most 5."""
+    basis = draw(st.sampled_from(["binomial", "monomial"]))
+    nvars = draw(st.integers(0, 2))
+    codomain = draw(st.lists(st.integers(0, 12), min_size=1, max_size=2))
+    exps = draw(st.lists(st.lists(st.integers(0, 5), min_size=nvars, max_size=nvars),
+                         max_size=4, unique_by=tuple))
+    coeff = st.integers(-20, 20).map(str)
+    if basis == "monomial":
+        coeff = st.one_of(coeff, st.sampled_from(["1/2", "-3/4", "5/6"]))
+    terms = [[exp, [draw(coeff) for _ in codomain]] for exp in exps]
+    return {"basis": basis, "vars": nvars, "codomain": codomain, "terms": terms}
+
+
+# The commands that read a problem file, with the arguments after the path.
+TABLE_COMMANDS = [
+    (name, *merge, *basis)
+    for name, merge in [("classify", ()), ("represent", ()), ("represent", ("--merge",)),
+                        ("interp", ()), ("taylor", ())]
+    for basis in ([(), ("--basis", "monomial")] if name != "classify" else [()])
+]
+
+
+@st.composite
+def fuzzed_run(draw):
+    """A command that reads a file, and the bytes of a small problem file
+    (for ``classify``, ``represent``, ``interp`` or ``taylor``) or
+    polynomial file (for ``eval``), left whole or broken in one way: a
+    field replaced, dropped or added, one list entry or one entry of an
+    item replaced, the text cut short or one byte inserted."""
+    if draw(st.booleans()):
+        doc = draw(small_problem())
+        command = draw(st.sampled_from(TABLE_COMMANDS))
+    else:
+        doc = draw(small_polynomial())
+        point = draw(st.lists(st.integers(-3, 6), min_size=max(doc["vars"], 1),
+                              max_size=max(doc["vars"], 1)))
+        command = ("eval", "--at=" + ",".join(map(str, point)),
+                   *draw(st.sampled_from([(), ("--modulus", "4")])))
+    how = draw(st.sampled_from(["whole", "field", "drop", "add", "entry", "cut", "byte"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if how == "field":
+        doc[key] = draw(JSON_VALUES)
+    elif how == "drop":
+        del doc[key]
+    elif how == "add":
+        doc[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    elif how == "entry" and isinstance(doc[key], list) and doc[key]:
+        items = doc[key]
+        i = draw(st.integers(0, len(items) - 1))
+        if isinstance(items[i], list) and items[i] and draw(st.booleans()):
+            items = items[i]
+            i = draw(st.integers(0, len(items) - 1))
+        items[i] = draw(JSON_VALUES)
+    text = json.dumps(doc).encode()
+    at = draw(st.integers(0, len(text)))
+    if how == "cut":
+        text = text[:at]
+    elif how == "byte":
+        text = text[:at] + bytes([draw(st.integers(0, 255))]) + text[at:]
+    return command, text
+
+
 class TestMalformedFiles:
     """Every malformed problem or polynomial file exits 2 with one
     ``error:`` line, never a traceback."""
@@ -240,6 +324,25 @@ class TestMalformedFiles:
     def test_integer_beyond_digit_limit(self, run, tmp_path):
         huge = self.PROBLEM.replace(b"2]}", b"9" * 5000 + b"]}")
         self.assert_rejected(run, tmp_path, huge, "problem")
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_run())
+    def test_fuzzed_file_exits_cleanly(self, tmp_path_factory, case):
+        # no exception escapes main: a result, or one error line and an
+        # exit code of 2 (parse), 3 (precondition) or 4 (resource guard)
+        command, content = case
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert err.getvalue() == ""
 
     def test_duplicate_key_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="duplicate key 'codomain'"):
@@ -771,8 +874,9 @@ def parse_outcome(parse, argv):
 
 
 class TestLargeTables:
-    """A random map Z_2048 -> Z_2 interpolates and classifies well inside
-    the timeout: each of its 2048 weight rows is one difference step."""
+    """A random map Z_2048 -> Z_2 interpolates and classifies, and a random
+    map Z_512 -> Z_16 is represented merged, well inside the timeout: each
+    interpolation weight row is one difference step."""
 
     @pytest.fixture(scope="class")
     def table(self, tmp_path_factory):
@@ -798,6 +902,17 @@ class TestLargeTables:
         assert proc.stdout.splitlines() == [
             "polyfractal: yes", "variables: 1", "split codomain: [2]",
             f"terms: {len(interpolant.terms)}", f"total degree: {degree}"]
+
+    def test_merged_representation_evaluates_back_to_the_table(self, tmp_path):
+        rng = random.Random(512)
+        values = [rng.randrange(16) for _ in range(512)]
+        path = tmp_path / "z512.json"
+        path.write_text(json.dumps({"domain": [512], "codomain": [16], "values": values}))
+        proc = run_module("represent", "--merge", str(path), timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        merged = parse_polynomial(proc.stdout)
+        assert (merged.nvars, merged.codomain) == (1, (16,))
+        assert merged.component_uni(0).values(0, 512) == values
 
 
 class TestArgumentHandling:

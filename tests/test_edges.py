@@ -180,6 +180,11 @@ REJECTED = [
      "coordinate 2.5 is not an integer"),
     ("multivariate point", lambda: TWO_VARS.evaluate((2.5, 1)),
      "coordinate 2.5 is not an integer"),
+    ("multivariate point after a zero binomial",
+     lambda: MultiPolyfract((5,), 2, (((1, 1), (1,)),)).evaluate((0, 2.5)),
+     "coordinate 2.5 is not an integer"),
+    ("multivariate point of zero", lambda: MultiPolyfract.zero((5,), 2).evaluate((2.5, 0)),
+     "coordinate 2.5 is not an integer"),
     ("univariate point", lambda: PERIODIC.evaluate(2.5), "point 2.5 is not an integer"),
     ("value table stop", lambda: PERIODIC.values(0, 2.5), "stop 2.5 is not an integer"),
     ("grid bound", lambda: grid_vanish_equiv(TWO_VARS, (1, 1.5)),

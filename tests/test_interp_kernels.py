@@ -95,9 +95,9 @@ class TestCofract:
         assert hash(got) == hash(Residue(v, r))
 
     # The exception each bad argument raises, and which one wins when two
-    # arguments are bad: d and q are checked first, then the sum runs (a
-    # d, q or x that is not an integer is named when it fails), then the
-    # modulus is checked as Residue checks it.
+    # arguments are bad: q, d and x are checked first, in that order, each
+    # for its type and then its range; the sum runs; then the modulus is
+    # checked as Residue checks it.
     @pytest.mark.parametrize("args, expected", [
         ((-1, 2, 4, 0), (ValueError, "d must be >= 0")),
         ((-5, 3, 9, 1), (ValueError, "d must be >= 0")),
@@ -118,6 +118,9 @@ class TestCofract:
         ((-1, 2, -1, 0), (ValueError, "d must be >= 0")),
         ((2.0, 2, -1, 0), (ValueError, "d 2.0 is not an integer")),
         ((3, 2, -1, 0.5), (ValueError, "x 0.5 is not an integer")),
+        ((2.5, 2.0, 4, 0), (ValueError, "q 2.0 is not an integer")),
+        ((-1, 2.0, 4, 0), (ValueError, "q 2.0 is not an integer")),
+        ((2.5, 2, 4, 0.5), (ValueError, "d 2.5 is not an integer")),
     ])
     def test_rejections(self, args, expected):
         with pytest.raises(Exception) as info:
