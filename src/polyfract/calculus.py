@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from math import prod
+from math import gcd, prod
 from operator import index, mul, sub
 from typing import Callable, Iterator, Sequence
 
@@ -396,23 +396,25 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     return applied - 1 if applied else None
 
 
-def hrycaj_periodicity(p: UniPolyfract, q: int) -> bool:
-    """Coefficient criterion for q-periodicity of a polyfractal map.
+@lru_cache(maxsize=256)
+def _periodicity_taps(q: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """(s, taps) of the periodicity criterion: every j in 1..q with C(q, j)
+    nonzero mod r is a multiple of s, and taps holds C(q, j) mod r for
+    j = s, 2s, .., q; the last, C(q, q), is 1 unless r = 1."""
+    taps = {j: c for j in range(1, q + 1) if (c := canonical(binom(q, j), r))}
+    s = gcd(q, *taps)
+    return s, tuple(taps.get(j, 0) for j in range(s, q + 1, s))
 
-    True iff sum_j C(q, j) * P_(d+j), j = 1..q, vanishes mod r for every
-    d up to the degree; equivalent to P(x + q) = P(x) for all x.  The q
-    taps C(q, j) mod r are computed once for all d.
-    """
-    q = at_least(q, 1, "period")
-    deg = p.degree
-    if deg is None:
-        return True
-    r = p.modulus
-    taps = [canonical(binom(q, j), r) for j in range(1, q + 1)]
-    for d in range(deg + 1):
-        if canonical(sum(map(mul, taps, p.coeffs[d + 1:d + q + 1])), r) != 0:
-            return False
-    return True
+
+def hrycaj_periodicity(p: UniPolyfract, q: int) -> bool:
+    """Coefficient criterion for q-periodicity of a polyfractal map: True
+    iff sum_j C(q, j) * P_(d+j), j = 1..q, vanishes mod r for every d up to
+    the degree (summed over the j of ``_periodicity_taps``); equivalent to
+    P(x + q) = P(x) for all x."""
+    q, r = at_least(q, 1, "period"), p.modulus
+    (s, taps), coeffs = _periodicity_taps(q, r), p.coeffs + (0,) * q
+    return not any(canonical(sum(map(mul, taps, coeffs[d + s:d + q + 1:s])), r)
+                   for d in range(len(p.coeffs)))
 
 
 def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:

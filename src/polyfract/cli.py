@@ -331,7 +331,7 @@ def _cmd_eval(args) -> int:
             for exp, (c,) in poly.terms
         }
         poly = MultiPolyfract((args.modulus,), poly.nvars, tuple(projected.items()))
-    point = _parse_point(args.at)
+    point = _parse_point(args.at) if args.at else ()  # --at= is the empty point
     values = poly.evaluate(point)
     with _printable():
         print(json.dumps([r.value for r in values]))
@@ -497,36 +497,33 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  Given a known command name it holds only that
-    command's subparser, which is all one invocation needs; building all
-    nine costs several times as much."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command."""
     parser = argparse.ArgumentParser(
         prog="polyfract",
         description="Decide and construct polynomial representations of maps "
                     "between finite commutative groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = (command,) if command in _COMMANDS else _COMMANDS
-    for name in names:
-        help_text, add_arguments = _COMMANDS[name]
+    for name, (help_text, add_arguments) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse a command line with the parser of the command it names.
-
-    argparse reports unrecognized arguments from the top-level parser,
-    whose usage line lists only the commands it was built with, so
-    leftovers are parsed again by the full parser, which exits 2 with the
-    usage line that lists all nine.
-    """
+    """Parse a command line with a parser of only the command it names,
+    built as its subparser is; building all nine costs several times as
+    much.  A line that names no command, or has leftovers (which argparse
+    reports with the usage line of all nine), goes to the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extras:
-        args = build_parser().parse_args(argv)
-    return args
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"polyfract {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        parser.set_defaults(command=argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

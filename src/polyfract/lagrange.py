@@ -4,7 +4,7 @@ The co-monofract (d | x)_{q,r} is the alternating sum of C(d, xh) over the
 representatives xh of x mod q inside {0..d}, reduced mod r.  Expanding the
 indicator of a point of Z_{p^a} in these quantities gives its polyfractal
 representation, and summing shifted indicators interpolates arbitrary maps
-between p-groups, with weights built by Pascal's rule (``_weights``).
+between p-groups, by Pascal-rule weights and a recurrence (``_weights``).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .calculus import FiniteFn, _difference, periodic_degree_bound
+from .calculus import FiniteFn, _periodicity_taps, periodic_degree_bound
 from .errors import BadCodomain, LengthMismatch, MixedPrimes, NotPrime
 from .exactnum import Residue, as_integer, at_least, binom, factorization, is_prime
 from .multi import MultiPolyfract
@@ -49,18 +49,21 @@ def cofract(d: int, q: int, r: int, x: int) -> Residue:
 
 
 @lru_cache(maxsize=64)
-def _weights(q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Weights W[delta][x] = (delta | delta - x)_{q,r}, 0 <= x < q, delta up
-    to the q-periodic degree bound mod r.  By Pascal's rule, (delta | y) =
-    (delta-1 | y) - (delta-1 | y-1), so each row is one ``_difference`` step
-    (stride -1) of the last.  Row 0, the point indicator, takes its 1 from
-    ``cofract`` to keep the benchmark's cofract and binom counts firing.
-    Row delta keeps its prefix x <= min(delta, q - 1); the rest is 0."""
-    rows, row = [], (cofract(0, q, r, 0).value,) + (0,) * (q - 1)
-    for delta in range(periodic_degree_bound(q, r) + 1):
-        rows.append(row[:min(delta, q - 1) + 1])
-        row = _difference(row, r, (q,), 0, -1)
-    return tuple(rows)
+def _weights(q: int, r: int) -> tuple:
+    """One axis's tables for Z_q into Z_r: rows[delta][x] = (delta | delta
+    - x)_{q,r}, delta < q, weigh the information coefficients, each row the
+    last differenced by Pascal's rule (delta | y) = (delta-1 | y) - (delta-1
+    | y-1) and kept as its prefix x <= delta (row 0's 1 is read from
+    ``cofract`` to keep the benchmark's cofract and binom counts firing);
+    then the stride s of the periodicity taps, the recurrence steps -C(q, j)
+    mod r for j = s, 2s, .., q - s, and range(d + 1), d the degree bound."""
+    rows = [(cofract(0, q, r, 0).value,)]
+    for _ in range(q - 1):
+        row = rows[-1]
+        rows.append(tuple([(b - a) % r for a, b in zip(row + (0,), (0,) + row)]))
+    s, taps = _periodicity_taps(q, r)
+    steps = tuple(-c % r for c in taps[:-1])
+    return tuple(rows), s, steps, range(periodic_degree_bound(q, r) + 1)
 
 
 def _check_prime_power_args(p, alpha, beta) -> None:
@@ -84,8 +87,7 @@ def lagrange_polyfract(p: int, alpha: int, beta: int, x0: int) -> UniPolyfract:
     """
     _check_prime_power_args(p, alpha, beta)
     x0 = as_integer(x0, "x0")
-    q = p**alpha
-    r = p**beta
+    q, r = p**alpha, p**beta
     d = periodic_degree_bound(q, r)
     coeffs = tuple(cofract(delta, q, r, delta - x0).value for delta in range(d + 1))
     return UniPolyfract(r, coeffs)
@@ -112,9 +114,11 @@ def degree_bound(p: int, beta: int, alphas: Sequence[int]) -> int:
 def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     """Interpolating polyfract of a map between same-prime power groups.
 
-    The coefficient at delta is the full cofract-weighted value sum
+    The coefficient at delta is the cofract-weighted value sum
     sum_x prod_j (delta_j | delta_j - x_j)_{q_j, p^beta} f(x); support stays
     inside the per-variable bounds and evaluation reproduces f everywhere.
+    Along each axis only the q information coefficients are such sums; the
+    rest follow from P_(k+q) = -sum_(j<q) C(q, j) P_(k+j) (mod r).
     """
     if len(f.codomain_moduli) != 1:
         raise BadCodomain("a single cyclic codomain factor is required")
@@ -127,32 +131,32 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
         domain_primes.update(p for p, _ in fac)
     if len(domain_primes) > 1:
         raise MixedPrimes(f"domain involves primes {sorted(domain_primes)}")
-    if r == 1:
-        # trivial codomain: everything interpolates to zero
+    if r == 1:  # trivial codomain: everything interpolates to zero
         return MultiPolyfract.zero((1,), f.nvars)
     rfac = factorization(r) if r else ()
     if len(rfac) != 1:
         raise BadCodomain(f"codomain modulus {r} is not a prime power")
     ((p, _),) = rfac
     if domain_primes and domain_primes != {p}:
-        raise BadCodomain(
-            f"codomain prime {p} differs from domain prime {domain_primes.pop()}"
-        )
+        raise BadCodomain(f"codomain prime {p} differs from domain prime "
+                          f"{domain_primes.pop()}")
 
     # The weight prod_j (delta_j | delta_j - x_j) is a tensor product, so
-    # the value table is contracted against one axis table at a time.  Each
-    # step sums away the last remaining x axis and puts its delta axis in
-    # front; after all n steps the flat list is in delta order.  A short
-    # weight row ends the products early: its missing weights are 0.
-    tables = {q: _weights(q, r) for q in set(f.domain_moduli)}
+    # the table is contracted one axis at a time: each step sums away the
+    # last x axis and puts its delta axis in front, one n-entry segment (one
+    # per line) per delta.  Past the q information segments each entry is
+    # the steps times its line's entries (q - j) * n back: a strided slice.
     flat = f.columns[0]
     for q in reversed(f.domain_moduli):
+        rows, s, steps, degrees = _weights(q, r)
         blocks = [flat[i:i + q] for i in range(0, len(flat), q)]
-        flat = [sum(map(mul, weights, block)) % r
-                for weights in tables[q] for block in blocks]
+        flat = [sum(map(mul, weights, block)) % r for weights in rows for block in blocks]
+        n = len(blocks)
+        for e in range(q * n, len(degrees) * n):
+            flat.append(sum(map(mul, steps, flat[e - (q - s) * n:e:s * n])) % r)
     # Every c is reduced mod r and the exponents come in product order,
     # which is the sorted order the constructor would produce.
-    deltas = product(*(range(len(tables[q])) for q in f.domain_moduli))
+    deltas = product(*(_weights(q, r)[3] for q in f.domain_moduli))
     terms = tuple((delta, (c,)) for delta, c in zip(deltas, flat) if c)
     return MultiPolyfract._trusted((r,), f.nvars, terms)
 
@@ -166,8 +170,7 @@ def extend_information_coeffs(info: Sequence[int], p: int, alpha: int,
     (at most (beta-1)(p-1)p^(alpha-1) of them).
     """
     _check_prime_power_args(p, alpha, beta)
-    q = p**alpha
-    r = p**beta
+    q, r = p**alpha, p**beta
     info = list(info)
     if len(info) != q:
         raise LengthMismatch(f"expected {q} information coefficients, got {len(info)}")

@@ -140,9 +140,7 @@ class MultiPolyfract:
         exponent tuple of arity ``nvars`` with a coefficient tuple of
         canonical ints, one per codomain slot, not all zero."""
         p = object.__new__(cls)
-        object.__setattr__(p, "codomain", codomain)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
+        p.__dict__.update(codomain=codomain, nvars=nvars, terms=terms)
         return p
 
     @classmethod

@@ -68,22 +68,36 @@ MUTANTS = (
            "for k in range(bound + 1)]",
            "for k in range(bound)]",
            (KERNELS + "TestOracleEnumeration",)),
-    # the interpolation weights
+    # the interpolation weights and the periodicity recurrence
     Mutant("weight row one entry short", LAGRANGE,
-           "rows.append(row[:min(delta, q - 1) + 1])",
-           "rows.append(row[:min(delta - 1, q - 1) + 1])",
+           "for a, b in zip(row + (0,), (0,) + row)",
+           "for a, b in zip(row, (0,) + row)",
            (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",
             KERNELS + "TestInterpolation")),
     Mutant("weight walk steps forward", LAGRANGE,
-           "row = _difference(row, r, (q,), 0, -1)",
-           "row = _difference(row, r, (q,), 0, 1)",
+           "for a, b in zip(row + (0,), (0,) + row)",
+           "for a, b in zip(row + (0,), row[1:] + (0, 0))",
            (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",)),
     Mutant("weight walk starts one row late", LAGRANGE,
-           "rows.append(row[:min(delta, q - 1) + 1])\n"
-           "        row = _difference(row, r, (q,), 0, -1)",
-           "row = _difference(row, r, (q,), 0, -1)\n"
-           "        rows.append(row[:min(delta, q - 1) + 1])",
+           "rows = [(cofract(0, q, r, 0).value,)]",
+           "rows = [(-cofract(0, q, r, 0).value % r, cofract(0, q, r, 0).value)]",
            (KERNELS + "TestWeights::test_rows_are_the_nonzero_prefixes",)),
+    Mutant("information rows one short", LAGRANGE,
+           "for _ in range(q - 1):",
+           "for _ in range(q - 2):",
+           (KERNELS + "TestWeights::test_indicators",)),
+    Mutant("recurrence sign flipped", LAGRANGE,
+           "steps = tuple(-c % r for c in taps[:-1])",
+           "steps = tuple(c % r for c in taps[:-1])",
+           (KERNELS + "TestWeights::test_indicators",)),
+    Mutant("taps start at j = 2", CALCULUS,
+           "for j in range(1, q + 1) if (c := canonical(binom(q, j), r))",
+           "for j in range(2, q + 1) if (c := canonical(binom(q, j), r))",
+           (KERNELS + "TestWeights::test_indicators",)),
+    Mutant("extension one step short", LAGRANGE,
+           "for e in range(q * n, len(degrees) * n):",
+           "for e in range(q * n, (len(degrees) - 1) * n):",
+           (KERNELS + "TestWeights::test_indicators",)),
     Mutant("cofract reduction dropped", EXACTNUM,
            'object.__setattr__(self, "value", canonical(value, self.modulus))',
            'object.__setattr__(self, "value", value)',
@@ -199,8 +213,8 @@ MUTANTS = (
            "w = prod(codomain[:k])",
            ("tests/test_cli.py::TestProblemFiles::test_tuple_codomain_decoding",)),
     Mutant("leftover arguments reported by the one-command parser", "src/polyfract/cli.py",
-           "args = build_parser().parse_args(argv)",
-           "pass",
+           "        if not extras:\n            return args\n",
+           "        return args\n",
            ("tests/test_cli.py::TestArgumentHandling",)),
     # trusted sweep tables: certify still passes, since interpolation
     # reduces mod r, and no case count moves

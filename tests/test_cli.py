@@ -449,6 +449,26 @@ class TestCommands:
         code, _, _ = run("eval", str(poly_path), "--at", "0", "--modulus", "5")
         assert code == 3
 
+    def test_eval_of_no_variables_at_the_empty_point(self, run, problem_file):
+        path = problem_file('{"basis": "binomial", "vars": 0, "codomain": [9], '
+                            '"terms": [[[], ["4"]]]}')
+        for argv in (("--at=",), ("--at", "")):
+            assert run("eval", path, *argv) == (0, "[4]\n", "")
+        code, out, err = run("eval", path, "--at=1")
+        assert (code, out) == (3, "")
+        assert err == "error: point has 1 coordinates, polyfract has 0\n"
+
+    def test_eval_at_a_negative_first_coordinate(self, run, capsys, problem_file):
+        # 4*C(x, 1) + C(y, 2) at (-3, 1) is -12 = 6 mod 9, and at (-3, -1)
+        # -12 + C(-1, 2) = -11 = 7 mod 9; the separate spelling "--at -3,1"
+        # is read by argparse as an option
+        path = problem_file('{"basis": "binomial", "vars": 2, "codomain": [9], '
+                            '"terms": [[[0, 2], ["1"]], [[1, 0], ["4"]]]}')
+        assert run("eval", path, "--at=-3,1") == (0, "[6]\n", "")
+        assert run("eval", path, "--at=-3,-1") == (0, "[7]\n", "")
+        assert_usage_error(capsys, "argument --at: expected one argument",
+                           "eval", path, "--at", "-3,1")
+
     def test_lagrange(self, run):
         code, out, _ = run("lagrange", "3", "1", "2", "0")
         assert code == 0
@@ -524,6 +544,14 @@ class TestCommands:
     def test_count_rejects_zero(self, run):
         code, _, err = run("count", "--domain", "0", "--codomain", "12")
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ("--domain", "--codomain"))
+    def test_count_rejects_empty_moduli(self, run, flag):
+        # the empty text is a point for eval, but not a list of moduli
+        argv = {"--domain": "50", "--codomain": "12", flag: ""}
+        code, out, err = run("count", *(t for kv in argv.items() for t in kv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad point ''")
 
     def test_eval_rejects_negative_modulus(self, capsys, problem_file):
         path = problem_file('{"basis": "binomial", "vars": 1, "codomain": [0], '

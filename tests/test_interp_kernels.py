@@ -4,14 +4,18 @@ whole-table evaluation against their references.
 ``exactnum.binom`` must match the falling-factorial formula, ``cofract``
 its definition over ``math.comb`` (``helpers.ref_cofract``) and reject
 each bad argument with a fixed exception and message.  ``lagrange._weights``
-builds each weight row from the one before by Pascal's rule, one cyclic
-difference step, from the point indicator (whose one nonzero weight comes
+builds the information rows delta < q, each from the one before by
+Pascal's rule, from the point indicator (whose one nonzero weight comes
 from ``cofract``); every row must equal the same definition once padded
-with the zeros it leaves out, on small tables (Z_1 included), on the
-interp workload's largest (q, r) and on a sweep of prime powers.
-``interpolate_prime_power`` the per-coefficient co-monofract sum
-(``helpers.ref_interpolate_prime_power``) and ``apply_diff`` the per-cell
-difference rebuilt through ``FiniteFn``'s constructor
+with the zeros it leaves out, and its taps must be C(q, j) mod r on the
+multiples of the stride Kummer's theorem gives (the steps those with j < q,
+negated), on small tables (Z_1 included), on the interp workload's
+largest (q, r) and on a sweep of prime powers; on the
+same (q, r) every point indicator must interpolate to the definition up
+to the degree bound.  ``interpolate_prime_power`` must match the
+per-coefficient co-monofract sum (``helpers.ref_interpolate_prime_power``),
+also on tables where every axis runs the recurrence, and ``apply_diff``
+the per-cell difference rebuilt through ``FiniteFn``'s constructor
 (``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns, and
 every polyfract ``interpolate_prime_power`` returns, must be one the
 checked constructor would build from the same data; the constructor's
@@ -27,7 +31,7 @@ periodic degree bounds, ``interpolate_prime_power``), ``calculus._box_cells``
 enumeration the per-point ``helpers.ref_representable_tables``.
 """
 from itertools import product
-from math import prod
+from math import comb, prod
 from operator import mod
 
 import pytest
@@ -48,7 +52,7 @@ from polyfract import (
     taylor_expand_multi,
     value_sum,
 )
-from polyfract.calculus import _box_cells, periodic_degree_bound
+from polyfract.calculus import _box_cells, _periodicity_taps, periodic_degree_bound
 from polyfract.classify import _representable_tables
 from polyfract.errors import PreconditionFailed
 from polyfract.exactnum import canonical
@@ -142,31 +146,67 @@ SWEEP_WEIGHTS = tuple(
     if p**alpha * (periodic_degree_bound(p**alpha, p**beta) + 1) ** 2 <= 20_000_000)
 
 
-def _check_weight_rows(q, r):
-    """Each row of ``_weights(q, r)``, padded with the zeros it leaves out,
-    is the row of co-monofracts by their definition."""
-    rows = _weights(q, r)
-    assert len(rows) == periodic_degree_bound(q, r) + 1
+def _check_weights(q, r):
+    """``_weights(q, r)`` for q = p^alpha and r = p^beta: each information
+    row, padded with the zeros it leaves out, is the row of co-monofracts
+    by their definition; by Kummer's theorem the nonzero C(q, j) mod r are
+    the j divisible by s = p^max(0, alpha - beta + 1), and the taps list
+    C(q, j) mod r for j = s, 2s, .., q, the steps those with j < q negated;
+    the degrees run to the periodic degree bound."""
+    rows, s, steps, degrees = _weights(q, r)
+    assert len(rows) == q
     for delta, row in enumerate(rows):
-        assert type(row) is tuple and len(row) == min(delta, q - 1) + 1
+        assert type(row) is tuple and len(row) == delta + 1
         padded = row + (0,) * (q - len(row))
         assert padded == tuple(ref_cofract(delta, q, r, delta - x) for x in range(q))
+    p = min(d for d in range(2, r + 1) if r % d == 0)
+    alpha = beta = 0
+    while p ** (alpha + 1) <= q:
+        alpha += 1
+    while p ** (beta + 1) <= r:
+        beta += 1
+    assert s == p ** max(0, alpha - beta + 1)
+    nonzero = {j: comb(q, j) % r for j in range(1, q + 1) if comb(q, j) % r}
+    assert set(nonzero) == set(range(s, q + 1, s))
+    assert _periodicity_taps(q, r) == (s, tuple(nonzero.values()))
+    assert steps == tuple(-c % r for j, c in nonzero.items() if j < q)
+    assert degrees == range(periodic_degree_bound(q, r) + 1)
+
+
+def _check_indicators(q, r):
+    """Every point indicator on Z_q interpolates to its
+    ``ref_interpolate_prime_power``: the coefficient at delta of the
+    indicator of x is (delta | delta - x)_{q,r}, so every weight up to the
+    degree bound, past the information rows too, is checked against the
+    definition.  The reference weights are computed once for all q."""
+    d = periodic_degree_bound(q, r)
+    for x in range(q):
+        f = FiniteFn.univariate(q, r, [int(y == x) for y in range(q)])
+        ref = tuple(ref_cofract(delta, q, r, delta - x) for delta in range(d + 1))
+        assert interpolate_prime_power(f) == MultiPolyfract.from_uni(UniPolyfract(r, ref))
 
 
 class TestWeights:
     @pytest.mark.parametrize("q, p", WEIGHT_DOMAINS)
     @pytest.mark.parametrize("beta", (1, 2, 3))
     def test_rows_are_the_nonzero_prefixes(self, q, p, beta):
-        _check_weight_rows(q, p**beta)
+        _check_weights(q, p**beta)
+
+    @pytest.mark.parametrize("q, p", WEIGHT_DOMAINS)
+    @pytest.mark.parametrize("beta", (1, 2, 3))
+    def test_indicators(self, q, p, beta):
+        _check_indicators(q, p**beta)
 
     @pytest.mark.parametrize("q, r", WORKLOAD_WEIGHTS)
     def test_workload_pairs(self, q, r):
-        _check_weight_rows(q, r)
+        _check_weights(q, r)
+        _check_indicators(q, r)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SWEEP_WEIGHTS))
     def test_matches_definition(self, qr):
-        _check_weight_rows(*qr)
+        _check_weights(*qr)
+        _check_indicators(*qr)
 
 
 # Largest alpha per (prime, number of variables), so the reference's
@@ -176,14 +216,15 @@ MAX_ALPHA = {(2, 1): 4, (2, 2): 2, (2, 3): 2, (3, 1): 2, (3, 2): 1, (3, 3): 1,
 
 
 @st.composite
-def prime_power_tables(draw):
+def prime_power_tables(draw, least=0):
     """A random table Z_{p^a1} x ... x Z_{p^an} -> Z_{p^beta}; alpha 0
-    gives a trivial factor Z_1."""
+    gives a trivial factor Z_1.  With ``least`` = 1 every alpha is >= 1
+    and beta >= 2, so every axis's degree bound d is >= q."""
     p = draw(st.sampled_from((2, 3, 5)))
     nvars = draw(st.integers(1, 3))
-    alphas = draw(st.lists(st.integers(0, MAX_ALPHA[p, nvars]),
+    alphas = draw(st.lists(st.integers(least, MAX_ALPHA[p, nvars]),
                            min_size=nvars, max_size=nvars))
-    beta = draw(st.integers(1, 3))
+    beta = draw(st.integers(1 + least, 3))
     domain = tuple(p**a for a in alphas)
     r = p**beta
     size = prod(domain)
@@ -199,6 +240,18 @@ class TestInterpolation:
         g = interpolate_prime_power(f)
         assert g == ref_interpolate_prime_power(f)
         assert MultiPolyfract(g.codomain, g.nvars, g.terms) == g
+
+    # Past the q information coefficients every axis runs the periodicity
+    # recurrence; the examples cover a nonzero tap at j = 1 (Z_2 into Z_8),
+    # a lone tap (Z_8 into Z_4) and three axes.
+    @settings(max_examples=150, deadline=None)
+    @given(prime_power_tables(least=1))
+    @example(FiniteFn((2,), (8,), ((3,), (6,))))
+    @example(FiniteFn((8,), (4,), tuple((v,) for v in (1, 0, 3, 3, 2, 0, 1, 2))))
+    @example(FiniteFn((3, 3), (9,), tuple((v,) for v in (4, 0, 8, 1, 1, 5, 0, 7, 2))))
+    @example(FiniteFn((2, 4, 2), (4,), tuple((v % 4,) for v in range(3, 19))))
+    def test_recurrence_matches_cofract_sum(self, f):
+        assert interpolate_prime_power(f) == ref_interpolate_prime_power(f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((2, 3, 5)), st.integers(0, 2),
