@@ -5,9 +5,14 @@ as one flat integer column per codomain factor, each in mixed-radix order
 of the domain (first coordinate most significant).
 Difference operators wrap around the cyclic domain, so ``delta`` of a
 q-periodic function is again q-periodic by construction.
+
+One difference kernel, ``_walker``, steps a column: for 1 <= r <= 2^62 in
+a fixed number of whole-int operations on one int with a lane per point,
+over Z (r = 0) and mod larger r by the list step on ``_shifted``.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -227,18 +232,65 @@ def _check_var(f: FiniteFn, var: int) -> int:
     return var
 
 
-def _difference(col: tuple, r: int, domain: tuple[int, ...], var: int,
-                step: int) -> tuple:
-    """One column of f(x + step*e_var) - f(x), reduced mod r (kept in Z
-    for r = 0)."""
-    diff = map(sub, _shifted(col, domain, var, step), col)
-    return tuple([v % r for v in diff]) if r else tuple(diff)
+@lru_cache(maxsize=64)
+def _packed_step(domain: tuple[int, ...], var: int, step: int, r: int):
+    """(pack, advance, read) for 1 <= r <= 2^62, else None (the list step).
+
+    ``pack`` puts entry i of a column in lane i of one int, w bits a lane,
+    the narrowest of 8, 16, 32 and 64 with r <= 2^(w-1); ``read`` undoes
+    it, and ``advance`` takes a packed column to f(x + step*e_var) - f(x)
+    mod r.  Two shifts and two masks rotate each span along var; then
+    v = rotated + r - x lies in [1, 2r) in every lane, and r comes off the
+    lanes whose v + 2^(w-1) - r has its high bit set."""
+    if not 1 <= r <= 1 << 62:
+        return None
+    w = next(w for w in (8, 16, 32, 64) if r <= 1 << (w - 1))
+    n, block = prod(domain), prod(domain[var + 1:])
+    span = domain[var] * block
+    # big-endian bytes put entry i in lane n - 1 - i, so rotate the other way
+    cut = (step if sys.byteorder == "little" else -step) * block % span
+    right, left = cut * w, (span - cut) * w
+    every = lambda pattern, period: pattern * ((1 << n * w) - 1) // ((1 << period) - 1)
+    keep = every((1 << left) - 1, span * w)
+    wrap = every((1 << span * w) - (1 << left), span * w)
+    ones = every(1, w)
+    rs, bias, high, top = r * ones, ((1 << (w - 1)) - r) * ones, ones << (w - 1), w - 1
+
+    def advance(x: int) -> int:
+        v = ((x >> right) & keep | (x << left) & wrap) + rs - x
+        return v - (((v + bias) & high) >> top) * r
+
+    size, order = n * w // 8, sys.byteorder
+    if w == 8:  # bytes pack and read 8-bit lanes faster than array("B")
+        lanes, read = bytearray, lambda x: tuple(x.to_bytes(size, order))
+    else:
+        # a shared library, loaded only once a column needs lanes this wide
+        from array import array
+        code = next(c for c in "HILQ" if array(c).itemsize * 8 == w)
+        lanes = lambda col: array(code, col)
+        read = lambda x: tuple(array(code, x.to_bytes(size, order)))
+    return lambda col: int.from_bytes(lanes(col), order), advance, read
+
+
+def _walker(col: tuple, r: int, domain: tuple[int, ...], var: int, step: int = 1):
+    """(x, advance, read): col in the kernel's form, one difference step on
+    that form, and the way back to a tuple.  Packed where ``_packed_step``
+    has a plan, else the list step on tuples; a zero column is falsy."""
+    plan = _packed_step(domain, var, step, r)
+    if plan is None:
+        def advance(c: tuple) -> tuple:
+            diff = map(sub, _shifted(c, domain, var, step), c)
+            c = tuple([v % r for v in diff]) if r else tuple(diff)
+            return c if any(c) else ()
+        return col if any(col) else (), advance, lambda c: c or (0,) * len(col)
+    pack, advance, read = plan
+    return pack(col), advance, read
 
 
 def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     """Apply a difference operator to each codomain column; indices wrap
-    mod q_var.  A shift only rotates the column; the differences run
-    ``_difference``.
+    mod q_var.  A shift only rotates the column; a difference packs the
+    column once and takes one ``_walker`` step.
     """
     var = _check_var(f, op.var)
     domain = f.domain_moduli
@@ -246,19 +298,23 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
         columns = tuple([tuple(_shifted(col, domain, var, op.stride))
                          for col in f.columns])
     else:
-        columns = tuple([_difference(col, r, domain, var, op.stride)
-                         for col, r in zip(f.columns, f.codomain_moduli)])
+        walks = (_walker(col, r, domain, var, op.stride)
+                 for col, r in zip(f.columns, f.codomain_moduli))
+        columns = tuple([read(advance(x)) for x, advance, read in walks])
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
 
 
 def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
-    """k-fold forward difference in one variable: k ``_difference`` steps."""
+    """k-fold forward difference in one variable: each column walks k
+    ``_walker`` steps, packed for moduli 1 <= r <= 2^62."""
     var = _check_var(f, var)
     k = at_least(k, 0, "difference power")
     columns = list(f.columns)
     for i, r in enumerate(f.codomain_moduli):
+        x, advance, read = _walker(columns[i], r, f.domain_moduli, var)
         for _ in range(k):
-            columns[i] = _difference(columns[i], r, f.domain_moduli, var, 1)
+            x = advance(x)
+        columns[i] = read(x)
     return FiniteFn._trusted(f.domain_moduli, f.codomain_moduli, tuple(columns))
 
 
@@ -294,7 +350,7 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     when delta^(d+1) does, and only that many steps run.
 
     It steps through ``apply_diff``, one table per step, not a plain
-    ``_difference`` loop: the benchmark's traced run requires
+    ``_walker`` loop: the benchmark's traced run requires
     ``calculus.apply_diff`` to fire on interp and certify (ROADMAP item
     1), and only this loop calls it.
     """
@@ -377,22 +433,22 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     """Partial degree of the map: one less than the smallest difference
     power that annihilates it; None for the zero map.
 
-    Steps every column with ``_difference``, as ``delta_power`` does, up
-    to the blockwise degree bound plus one; maps that are not annihilated
-    by then never are, and NotAnnihilated is raised.
+    Walks each column with ``_walker``, packed for moduli 1 <= r <= 2^62, up
+    to the blockwise degree bound plus one steps; maps that are not
+    annihilated by then never are, and NotAnnihilated is raised.
     """
     var = _check_var(f, var)
     bound = _degree_cap(f.domain_moduli[var], f.codomain_moduli)
-    columns = list(f.columns)
     applied = 0
-    while any(map(any, columns)):
-        if applied > bound:
+    for col, r in zip(f.columns, f.codomain_moduli):
+        x, advance, _ = _walker(col, r, f.domain_moduli, var)
+        steps = 0
+        while x and steps <= bound:
+            x, steps = advance(x), steps + 1
+        if x:
             raise NotAnnihilated(
-                f"no difference power up to {bound + 1} annihilates variable {var}"
-            )
-        for i, r in enumerate(f.codomain_moduli):
-            columns[i] = _difference(columns[i], r, f.domain_moduli, var, 1)
-        applied += 1
+                f"no difference power up to {bound + 1} annihilates variable {var}")
+        applied = max(applied, steps)
     return applied - 1 if applied else None
 
 
@@ -445,4 +501,8 @@ def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:
         k, divisor = p**alpha - 1, p
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return not any(v % divisor for v in delta_power(f, k).columns[0])
+    x, advance, _ = _walker(tuple([v % divisor for v in f.columns[0]]), divisor,
+                          f.domain_moduli, 0)
+    for _ in range(k):
+        x = advance(x)
+    return not x

@@ -27,6 +27,7 @@ from .classify import (
     counterexample_is_valid,
     is_polyfractal,
 )
+from .errors import TooLarge
 from .exactnum import is_prime, mod_project, Residue
 from .groups import split_variable
 from .lagrange import (
@@ -98,9 +99,11 @@ def _sweep(unit: str):
 
     The generator yields one value per case: ``None`` for a case that
     passed, or the failure message, after which it is not resumed.  A check
-    that is not a case yields only its failure message.  The sweep's name is
-    the function's, without ``check_`` and with dashes; the detail of a
-    passing sweep is its case count and ``unit``.
+    that is not a case yields only its failure message.  An exception raised
+    inside the sweep fails it with its type and message, so the other sweeps
+    still report; only ``TooLarge``, the user's resource guard, propagates.
+    The sweep's name is the function's, without ``check_`` and with dashes;
+    the detail of a passing sweep is its case count and ``unit``.
     """
     def wrap(cases: Callable[[CertifyOptions], Iterator[str | None]]):
         name = cases.__name__.removeprefix("check_").replace("_", "-")
@@ -108,10 +111,15 @@ def _sweep(unit: str):
         @wraps(cases)
         def check(opts: CertifyOptions) -> CheckResult:
             count = 0
-            for failure in cases(opts):
-                if failure is not None:
-                    return CheckResult(name, False, failure)
-                count += 1
+            try:
+                for failure in cases(opts):
+                    if failure is not None:
+                        return CheckResult(name, False, failure)
+                    count += 1
+            except TooLarge:
+                raise
+            except Exception as exc:
+                return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
             return CheckResult(name, True, f"{count} {unit}")
         return check
     return wrap

@@ -411,7 +411,10 @@ def merge_variables(p: MultiPolyfract) -> MultiPolyfract:
     monomial numerators over one denominator, numerators of equal total
     degree are added (X_1^k_1...X_n^k_n becomes X^(k_1+...+k_n)), and the
     univariate rational polynomial is re-expressed in the binomial basis.
+    A one-variable polyfract comes back as it is: X for X_1 is the identity.
     """
+    if p.nvars == 1:
+        return p
     components = []
     for i, r in enumerate(p.codomain):
         mono, den = _expand_to_monomials(p.slot_map(i))

@@ -113,10 +113,8 @@ MUTANTS = (
            ("tests/test_classify.py::TestBlockScanDifferential",)),
     # the degree search and the difference triangle
     Mutant("degree search starts one step late", CALCULUS,
-           "columns = list(f.columns)\n    applied = 0",
-           "columns = [_difference(col, r, f.domain_moduli, var, 1)\n"
-           "               for col, r in zip(f.columns, f.codomain_moduli)]\n"
-           "    applied = 0",
+           "        steps = 0\n        while x and",
+           "        steps, x = 0, advance(x)\n        while x and",
            ("tests/test_calculus.py::TestMapDegree",)),
     Mutant("Taylor loop stops one step early", CALCULUS,
            "for _ in range(steps):",
@@ -169,13 +167,27 @@ MUTANTS = (
            ("tests/test_multi.py::TestRingOps::test_box_limit_counts_product_points",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
-           "range(k):\n            columns[i] = _difference(columns[i], r, f.domain_moduli, var, 1)",
-           "range(k):\n            columns[i] = _difference(columns[i], r, f.domain_moduli, 0, 1)",
+           "x, advance, read = _walker(columns[i], r, f.domain_moduli, var)",
+           "x, advance, read = _walker(columns[i], r, f.domain_moduli, 0)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("k = 1 returned unchanged", CALCULUS,
-           "for _ in range(k):",
-           "for _ in range(k if k != 1 else 0):",
+           "        for _ in range(k):\n            x = advance(x)\n        columns[i] = read(x)",
+           "        for _ in range(k if k != 1 else 0):\n            x = advance(x)\n"
+           "        columns[i] = read(x)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
+    # the packed difference kernel
+    Mutant("packed step's conditional subtract dropped", CALCULUS,
+           "return v - (((v + bias) & high) >> top) * r",
+           "return v",
+           (KERNELS + "TestPackedStep::test_matches_list_step",)),
+    Mutant("packed wrap mask one lane short", CALCULUS,
+           "wrap = every((1 << span * w) - (1 << left), span * w)",
+           "wrap = every((1 << (span - 1) * w) - (1 << left), span * w)",
+           (KERNELS + "TestPackedStep::test_matches_list_step",)),
+    Mutant("lane width test made strict", CALCULUS,
+           "if r <= 1 << (w - 1))",
+           "if r < 1 << (w - 1))",
+           (KERNELS + "TestPackedStep::test_lane_widths",)),
     # the Taylor expansion's degree box and the box-to-column index map
     Mutant("degree box clipped one short", CALCULUS,
            "min(d, _degree_cap(q, f.codomain_moduli)) + 1",
@@ -192,9 +204,9 @@ MUTANTS = (
            "cut = step % span",
            (KERNELS + "TestApplyDiffCases",)),
     Mutant("difference reduction dropped", CALCULUS,
-           "return tuple([v % r for v in diff]) if r else tuple(diff)",
-           "return tuple(diff)",
-           (KERNELS + "TestApplyDiffCases",)),
+           "c = tuple([v % r for v in diff]) if r else tuple(diff)",
+           "c = tuple(diff)",
+           (KERNELS + "TestPackedStep::test_matches_list_step",)),
     # the column format
     Mutant("constructor reduction dropped", CALCULUS,
            "tuple([v % r for v in map(index, col)]) if r else tuple(map(index, col))",
@@ -227,6 +239,10 @@ MUTANTS = (
            "if failure is not None:",
            "if False:",
            ("tests/test_cli.py::TestCommands::test_certify_reports_unsound_override",)),
+    Mutant("driver lets a sweep's exception through", CERTIFY,
+           "            except Exception as exc:\n",
+           "            except TooLarge as exc:\n",
+           ("tests/test_cli.py::TestCommands::test_certify_reports_a_raising_sweep",)),
     Mutant("driver's case count starts at 1", CERTIFY,
            "count = 0",
            "count = 1",

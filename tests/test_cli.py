@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyfract
 from polyfract import FiniteFn, MultiPolyfract, UniPolyfract
+from polyfract import certify
 from polyfract.certify import CertifyOptions
 from polyfract.cli import (
     _parse_args,
@@ -25,7 +26,24 @@ from polyfract.cli import (
     parse_polynomial,
     parse_problem,
 )
-from polyfract.errors import NotIntegerValued, ParseError, TooLarge, ValidationError
+from polyfract.errors import (
+    NotIntegerValued, NotPeriodic, ParseError, TooLarge, ValidationError,
+)
+
+QUICK_CERTIFY = ("certify", "--samples", "30", "--count-limit", "3",
+                 "--max-alpha", "1", "--max-beta", "1")
+QUICK_CERTIFY_LINES = [
+    "PASS divisibility: 122 tables checked",
+    "PASS cofract-tail: 18 values checked",
+    "PASS lagrange: 5 cases checked",
+    "PASS hrycaj: 30 random polyfracts checked",
+    "PASS grid-vanishing: 30 random grids checked",
+    "PASS degree-bound: 31 interpolations checked",
+    "PASS counting: 56 maps checked",
+    "PASS taylor-interpolation: 91 cases checked",
+    "PASS split-merge: 30 round trips checked",
+    "PASS ring-laws: 30 random triples checked",
+]
 
 INDICATOR_PROBLEM = '{"domain": [3], "codomain": [9], "values": [1, 0, 0]}'
 
@@ -624,24 +642,25 @@ class TestCommands:
         }) == CertifyOptions()
 
     def test_certify_quick(self, run):
-        code, out, _ = run(
-            "certify", "--samples", "30", "--count-limit", "3",
-            "--max-alpha", "1", "--max-beta", "1",
-        )
+        code, out, _ = run(*QUICK_CERTIFY)
         assert code == 0
         # exact case counts, so a sweep that silently tests fewer tables fails
-        assert out.splitlines() == [
-            "PASS divisibility: 122 tables checked",
-            "PASS cofract-tail: 18 values checked",
-            "PASS lagrange: 5 cases checked",
-            "PASS hrycaj: 30 random polyfracts checked",
-            "PASS grid-vanishing: 30 random grids checked",
-            "PASS degree-bound: 31 interpolations checked",
-            "PASS counting: 56 maps checked",
-            "PASS taylor-interpolation: 91 cases checked",
-            "PASS split-merge: 30 round trips checked",
-            "PASS ring-laws: 30 random triples checked",
-        ]
+        assert out.splitlines() == QUICK_CERTIFY_LINES
+
+    def test_certify_reports_a_raising_sweep(self, run, monkeypatch):
+        @certify._sweep("round trips checked")
+        def check_split_merge(opts):
+            yield None
+            raise NotPeriodic("component 0 is not 24-periodic")
+
+        checks = tuple(check_split_merge if c.__name__ == "check_split_merge" else c
+                       for c in certify._CHECKS)
+        monkeypatch.setattr(certify, "_CHECKS", checks)
+        code, out, err = run(*QUICK_CERTIFY)
+        # the raising sweep fails with its exception; the others still run
+        expected = list(QUICK_CERTIFY_LINES)
+        expected[8] = "FAIL split-merge: raised NotPeriodic: component 0 is not 24-periodic"
+        assert (code, out.splitlines(), err) == (1, expected, "")
 
     def test_certify_guard_exit_code(self, run):
         code, _, err = run(
@@ -902,9 +921,11 @@ def parse_outcome(parse, argv):
 
 
 class TestLargeTables:
-    """A random map Z_2048 -> Z_2 interpolates and classifies, and a random
-    map Z_512 -> Z_16 is represented merged, well inside the timeout: each
-    interpolation weight row is one difference step."""
+    """A random map Z_2048 -> Z_2 interpolates, expands by differences and
+    classifies, and a random map Z_512 -> Z_16 is represented merged, well
+    inside the timeout: each interpolation weight row is one difference
+    step, each difference step one packed whole-int step, and merging one
+    variable is the identity."""
 
     @pytest.fixture(scope="class")
     def table(self, tmp_path_factory):
@@ -915,10 +936,19 @@ class TestLargeTables:
         return str(path), values
 
     @pytest.fixture(scope="class")
-    def interpolant(self, table):
+    def interp_stdout(self, table):
         proc = run_module("interp", table[0], timeout=30)
         assert (proc.returncode, proc.stderr) == (0, "")
-        return parse_polynomial(proc.stdout)
+        return proc.stdout
+
+    @pytest.fixture(scope="class")
+    def interpolant(self, interp_stdout):
+        return parse_polynomial(interp_stdout)
+
+    def test_taylor_prints_the_interpolant(self, table, interp_stdout):
+        proc = run_module("taylor", table[0], timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == interp_stdout
 
     def test_interp_evaluates_back_to_the_table(self, table, interpolant):
         assert interpolant.component_uni(0).values(0, 2048) == table[1]
@@ -931,16 +961,32 @@ class TestLargeTables:
             "polyfractal: yes", "variables: 1", "split codomain: [2]",
             f"terms: {len(interpolant.terms)}", f"total degree: {degree}"]
 
-    def test_merged_representation_evaluates_back_to_the_table(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def table512(self, tmp_path_factory):
         rng = random.Random(512)
         values = [rng.randrange(16) for _ in range(512)]
-        path = tmp_path / "z512.json"
+        path = tmp_path_factory.mktemp("large") / "z512.json"
         path.write_text(json.dumps({"domain": [512], "codomain": [16], "values": values}))
-        proc = run_module("represent", "--merge", str(path), timeout=30)
+        return str(path), values
+
+    @pytest.fixture(scope="class")
+    def merged_stdout(self, table512):
+        proc = run_module("represent", "--merge", table512[0], timeout=30)
         assert (proc.returncode, proc.stderr) == (0, "")
-        merged = parse_polynomial(proc.stdout)
+        return proc.stdout
+
+    def test_merged_representation_evaluates_back_to_the_table(self, table512,
+                                                               merged_stdout):
+        merged = parse_polynomial(merged_stdout)
         assert (merged.nvars, merged.codomain) == (1, (16,))
-        assert merged.component_uni(0).values(0, 512) == values
+        assert merged.component_uni(0).values(0, 512) == table512[1]
+
+    def test_merge_of_one_prime_prints_the_plain_representation(self, table512,
+                                                                merged_stdout):
+        # one prime splits into one variable, and merging it changes nothing
+        proc = run_module("represent", table512[0], timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == merged_stdout
 
 
 class TestArgumentHandling:

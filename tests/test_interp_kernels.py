@@ -16,7 +16,13 @@ to the degree bound.  ``interpolate_prime_power`` must match the
 per-coefficient co-monofract sum (``helpers.ref_interpolate_prime_power``),
 also on tables where every axis runs the recurrence, and ``apply_diff``
 the per-cell difference rebuilt through ``FiniteFn``'s constructor
-(``helpers.ref_apply_diff``).  Every table ``apply_diff`` returns, and
+(``helpers.ref_apply_diff``).  The packed difference kernel
+(``calculus._walker``) must match the list step on ``_shifted`` on 1-3
+factors, every variable and strides past q_var, with moduli at every lane
+boundary and the moduli that take the list step (0 and 2^62 + 1), and its
+lane widths must be the narrowest with r <= 2^(w-1); ``divisibility_check``,
+which walks the table reduced mod p^beta, must agree with ``delta_power``
+over Z, negative values included.  Every table ``apply_diff`` returns, and
 every polyfract ``interpolate_prime_power`` returns, must be one the
 checked constructor would build from the same data; the constructor's
 reduction must match the per-cell ``canonical``, and a table built from
@@ -47,12 +53,16 @@ from polyfract import (
     binom,
     cofract,
     delta_power,
+    divisibility_check,
     extend_information_coeffs,
     interpolate_prime_power,
     taylor_expand_multi,
     value_sum,
 )
-from polyfract.calculus import _box_cells, _periodicity_taps, periodic_degree_bound
+from polyfract.calculus import (
+    _box_cells, _packed_step, _periodicity_taps, _shifted, _walker,
+    periodic_degree_bound,
+)
 from polyfract.classify import _representable_tables
 from polyfract.errors import PreconditionFailed
 from polyfract.exactnum import canonical
@@ -459,6 +469,76 @@ class TestDeltaPower:
             assert g == expected
             assert FiniteFn(g.domain_moduli, g.codomain_moduli, g.values) == g
             expected = ref_apply_diff(DiffOp("delta", var), expected)
+
+
+# Moduli at every lane boundary of the packed kernel, and the two kinds of
+# modulus that take the list step.
+LANE_WIDTHS = {1: 8, 2: 8, 127: 8, 128: 8, 129: 16, 2**15: 16, 2**15 + 1: 32,
+               2**31: 32, 2**62: 64, 0: None, 2**62 + 1: None}
+
+
+@st.composite
+def kernel_columns(draw):
+    """(domain, var, step, r, column): 1-3 factors, any variable, strides up
+    to past three periods, values canonical mod r (any int for r = 0)."""
+    domain = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    var = draw(st.integers(0, len(domain) - 1))
+    step = draw(st.integers(1, 3 * domain[var] + 1))
+    r = draw(st.sampled_from(sorted(LANE_WIDTHS)) | st.integers(1, 1000))
+    values = st.integers(0, r - 1) if r else st.integers()
+    column = draw(st.lists(values, min_size=prod(domain), max_size=prod(domain)))
+    return domain, var, step, r, tuple(column)
+
+
+class TestPackedStep:
+    """The packed difference kernel, ``calculus._walker``, against the list
+    step on ``_shifted``, and the divisibility check it walks against the
+    difference power over Z."""
+
+    def test_lane_widths(self):
+        for r, w in LANE_WIDTHS.items():
+            plan = _packed_step((2,), 0, 1, r)
+            # two entries 1 pack to 1 + 2^w in either byte order
+            assert (plan and plan[0]((1, 1))) == (w and 1 + (1 << w)), r
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_columns())
+    @example(((3, 4), 0, 1, 4, tuple(v * v % 4 for v in range(3, 15))))
+    @example(((2, 3), 1, 2, 2**62, (2**62 - 1, 0, 5, 1, 2**62 - 1, 3)))
+    @example(((5,), 0, 7, 129, (128, 0, 127, 1, 64)))
+    @example(((4,), 0, 1, 128, (127, 0, 0, 127)))
+    @example(((2, 2), 1, 1, 1, (0, 0, 0, 0)))
+    @example(((4,), 0, 1, 2**62 + 1, (2**62, 0, 1, 2**61)))
+    @example(((3,), 0, 1, 0, (-5, 7, 2**70)))
+    def test_matches_list_step(self, case):
+        domain, var, step, r, col = case
+        x, advance, read = _walker(col, r, domain, var, step)
+        for _ in range(4):
+            assert read(x) == col
+            assert bool(x) == any(col)
+            shifted = _shifted(col, domain, var, step)
+            col = tuple((a - b) % r if r else a - b for a, b in zip(shifted, col))
+            x = advance(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))),
+           st.integers(0, 70),
+           st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=25))
+    @example((2, 2), 3, [5, -3, 0, 2])
+    def test_divisibility_walks_the_reduced_table(self, pa, beta, values):
+        p, alpha = pa
+        q = p**alpha
+        table = (values * q)[:q]
+        f = FiniteFn.univariate(q, 0, table)
+        for mode, k in (("sharp", (beta * (p - 1) + 1) * p ** (alpha - 1)),
+                        ("coarse", beta * (p**alpha - 1) + 1)):
+            over_z = delta_power(f, k).columns[0]
+            assert divisibility_check(f, beta, mode) == (not any(v % p**beta for v in over_z))
+        # the walk mod m is the walk over Z reduced mod m, for any m and k
+        m, k = p**beta, beta % 7
+        reduced = FiniteFn.univariate(q, m, table)
+        assert delta_power(reduced, k).columns[0] == tuple(
+            v % m for v in delta_power(f, k).columns[0])
 
 
 class TestValueSum:
