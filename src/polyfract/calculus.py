@@ -234,21 +234,28 @@ def _check_var(f: FiniteFn, var: int) -> int:
 
 @lru_cache(maxsize=64)
 def _packed_step(domain: tuple[int, ...], var: int, step: int, r: int):
-    """(pack, advance, read) for 1 <= r <= 2^62, else None (the list step).
+    """(pack, advance, read, first) for 1 <= r <= 2^62, else None (the list
+    step).
 
     ``pack`` puts entry i of a column in lane i of one int, w bits a lane,
     the narrowest of 8, 16, 32 and 64 with r <= 2^(w-1); ``read`` undoes
-    it, and ``advance`` takes a packed column to f(x + step*e_var) - f(x)
-    mod r.  Two shifts and two masks rotate each span along var; then
-    v = rotated + r - x lies in [1, 2r) in every lane, and r comes off the
-    lanes whose v + 2^(w-1) - r has its high bit set."""
+    it, ``first`` reads entry 0 alone, and ``advance`` takes a packed
+    column to f(x + step*e_var) - f(x) mod r.  Two shifts and two masks
+    rotate each span along var; then v = rotated + r - x lies in [1, 2r)
+    in every lane, and r comes off the lanes whose v + 2^(w-1) - r has its
+    high bit set."""
     if not 1 <= r <= 1 << 62:
         return None
     w = next(w for w in (8, 16, 32, 64) if r <= 1 << (w - 1))
     n, block = prod(domain), prod(domain[var + 1:])
     span = domain[var] * block
+    size, order, low, far = n * w // 8, sys.byteorder, (1 << w) - 1, (n - 1) * w
     # big-endian bytes put entry i in lane n - 1 - i, so rotate the other way
-    cut = (step if sys.byteorder == "little" else -step) * block % span
+    # and find entry 0 in the top lane
+    if order == "little":
+        cut, first = step * block % span, lambda x: x & low
+    else:
+        cut, first = -step * block % span, lambda x: x >> far
     right, left = cut * w, (span - cut) * w
     every = lambda pattern, period: pattern * ((1 << n * w) - 1) // ((1 << period) - 1)
     keep = every((1 << left) - 1, span * w)
@@ -260,7 +267,6 @@ def _packed_step(domain: tuple[int, ...], var: int, step: int, r: int):
         v = ((x >> right) & keep | (x << left) & wrap) + rs - x
         return v - (((v + bias) & high) >> top) * r
 
-    size, order = n * w // 8, sys.byteorder
     if w == 8:  # bytes pack and read 8-bit lanes faster than array("B")
         lanes, read = bytearray, lambda x: tuple(x.to_bytes(size, order))
     else:
@@ -269,22 +275,24 @@ def _packed_step(domain: tuple[int, ...], var: int, step: int, r: int):
         code = next(c for c in "HILQ" if array(c).itemsize * 8 == w)
         lanes = lambda col: array(code, col)
         read = lambda x: tuple(array(code, x.to_bytes(size, order)))
-    return lambda col: int.from_bytes(lanes(col), order), advance, read
+    return lambda col: int.from_bytes(lanes(col), order), advance, read, first
 
 
 def _walker(col: tuple, r: int, domain: tuple[int, ...], var: int, step: int = 1):
-    """(x, advance, read): col in the kernel's form, one difference step on
-    that form, and the way back to a tuple.  Packed where ``_packed_step``
-    has a plan, else the list step on tuples; a zero column is falsy."""
+    """(x, advance, read, first): col in the kernel's form, one difference
+    step on that form, the way back to a tuple and the entry at index 0.
+    Packed where ``_packed_step`` has a plan, else the list step on tuples;
+    a zero column is falsy."""
     plan = _packed_step(domain, var, step, r)
     if plan is None:
         def advance(c: tuple) -> tuple:
             diff = map(sub, _shifted(c, domain, var, step), c)
             c = tuple([v % r for v in diff]) if r else tuple(diff)
             return c if any(c) else ()
-        return col if any(col) else (), advance, lambda c: c or (0,) * len(col)
-    pack, advance, read = plan
-    return pack(col), advance, read
+        return (col if any(col) else (), advance, lambda c: c or (0,) * len(col),
+                lambda c: c[0] if c else 0)
+    pack, advance, read, first = plan
+    return pack(col), advance, read, first
 
 
 def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
@@ -300,7 +308,7 @@ def apply_diff(op: DiffOp, f: FiniteFn) -> FiniteFn:
     else:
         walks = (_walker(col, r, domain, var, op.stride)
                  for col, r in zip(f.columns, f.codomain_moduli))
-        columns = tuple([read(advance(x)) for x, advance, read in walks])
+        columns = tuple([read(advance(x)) for x, advance, read, _ in walks])
     return FiniteFn._trusted(domain, f.codomain_moduli, columns)
 
 
@@ -311,7 +319,7 @@ def delta_power(f: FiniteFn, k: int, var: int = 0) -> FiniteFn:
     k = at_least(k, 0, "difference power")
     columns = list(f.columns)
     for i, r in enumerate(f.codomain_moduli):
-        x, advance, read = _walker(columns[i], r, f.domain_moduli, var)
+        x, advance, read, _ = _walker(columns[i], r, f.domain_moduli, var)
         for _ in range(k):
             x = advance(x)
         columns[i] = read(x)
@@ -349,24 +357,29 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     D = ``_degree_cap``, so delta^(min(d, D)+1) annihilates it exactly
     when delta^(d+1) does, and only that many steps run.
 
-    It steps through ``apply_diff``, one table per step, not a plain
-    ``_walker`` loop: the benchmark's traced run requires
-    ``calculus.apply_diff`` to fire on interp and certify (ROADMAP item
-    1), and only this loop calls it.
+    One ``_walker`` walk packs the column once and reads each delta^k f(0)
+    off entry 0 before the next step.  The last difference comes back as
+    a table, and one ``apply_diff`` delta on it is the annihilation test:
+    it is the expansion's precondition check, and it keeps
+    ``calculus.apply_diff`` firing on the benchmark's interp and certify
+    traces.  ROADMAP item 1 turns it into a plain ``advance``.
     """
     d = _degree_bound(d)
     _check_univariate(f)
-    steps = min(d, _degree_cap(f.domain_moduli[0], f.codomain_moduli)) + 1
-    op = DiffOp("delta")
+    domain, (r,) = f.domain_moduli, f.codomain_moduli
+    steps = min(d, _degree_cap(domain[0], (r,))) + 1
+    x, advance, read, first = _walker(f.columns[0], r, domain, 0)
     coeffs = []
-    for _ in range(steps):
-        coeffs.append(f.columns[0][0])
-        f = apply_diff(op, f)
-    if not f.is_zero():
+    for _ in range(steps - 1):
+        coeffs.append(first(x))
+        x = advance(x)
+    last = FiniteFn._trusted(domain, (r,), (read(x),))
+    coeffs.append(last.columns[0][0])
+    if not apply_diff(DiffOp("delta"), last).is_zero():
         raise PreconditionFailed(
             f"difference power {d + 1} does not annihilate the table"
         )
-    return UniPolyfract(f.codomain_moduli[0], tuple(coeffs))
+    return UniPolyfract(r, tuple(coeffs))
 
 
 def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
@@ -441,7 +454,7 @@ def map_degree(f: FiniteFn, var: int = 0) -> int | None:
     bound = _degree_cap(f.domain_moduli[var], f.codomain_moduli)
     applied = 0
     for col, r in zip(f.columns, f.codomain_moduli):
-        x, advance, _ = _walker(col, r, f.domain_moduli, var)
+        x, advance, *_ = _walker(col, r, f.domain_moduli, var)
         steps = 0
         while x and steps <= bound:
             x, steps = advance(x), steps + 1
@@ -501,8 +514,8 @@ def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:
         k, divisor = p**alpha - 1, p
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    x, advance, _ = _walker(tuple([v % divisor for v in f.columns[0]]), divisor,
-                          f.domain_moduli, 0)
+    x, advance, *_ = _walker(tuple([v % divisor for v in f.columns[0]]), divisor,
+                             f.domain_moduli, 0)
     for _ in range(k):
         x = advance(x)
     return not x

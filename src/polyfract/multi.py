@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import product, zip_longest
 from math import factorial, prod
-from operator import mul
+from operator import index, mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, TooLarge
@@ -163,11 +163,12 @@ class MultiPolyfract:
     @classmethod
     def from_components(cls, components: Sequence[UniPolyfract]) -> "MultiPolyfract":
         """Bundle univariate polyfracts into one single-variable polyfract
-        with tuple coefficients, one codomain slot per component."""
-        top = max((len(p.coeffs) for p in components), default=0)
-        terms = tuple(((d,), tuple(p.coefficient(d) for p in components))
-                      for d in range(top))
-        return cls(tuple(p.modulus for p in components), 1, terms)
+        with tuple coefficients, one codomain slot per component.  Built
+        trusted: the components' coefficients are canonical and the terms
+        come in degree order, so only all-zero coefficient tuples drop."""
+        slots = zip_longest(*[p.coeffs for p in components], fillvalue=0)
+        return cls._trusted(tuple([index(p.modulus) for p in components]), 1,
+                            tuple([((d,), cs) for d, cs in enumerate(slots) if any(cs)]))
 
     @classmethod
     def from_rational(cls, poly: RationalPolyMulti,

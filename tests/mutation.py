@@ -117,13 +117,17 @@ MUTANTS = (
            "        steps, x = 0, advance(x)\n        while x and",
            ("tests/test_calculus.py::TestMapDegree",)),
     Mutant("Taylor loop stops one step early", CALCULUS,
-           "for _ in range(steps):",
            "for _ in range(steps - 1):",
+           "for _ in range(steps - 2):",
            ("tests/test_calculus.py::TestTaylor",)),
     Mutant("Taylor steps clipped one short of the periodic bound", CALCULUS,
-           "min(d, _degree_cap(f.domain_moduli[0], f.codomain_moduli)) + 1",
-           "min(d, _degree_cap(f.domain_moduli[0], f.codomain_moduli) - 1) + 1",
+           "min(d, _degree_cap(domain[0], (r,))) + 1",
+           "min(d, _degree_cap(domain[0], (r,)) - 1) + 1",
            ("tests/test_calculus.py::TestTaylor::test_degrees_beyond_the_periodic_bound",)),
+    Mutant("Taylor's final annihilation check skipped", CALCULUS,
+           "if not apply_diff(DiffOp(\"delta\"), last).is_zero():",
+           "if False:",
+           ("tests/test_calculus.py::TestTaylor::test_insufficient_degree",)),
     Mutant("triangle reads the wrong end of its row", UNI,
            "out += row[:width]",
            "out += row[-width:]",
@@ -161,14 +165,18 @@ MUTANTS = (
            "tuple(top * (m - 1) + 1 for m in shape)",
            "tuple(m for m in shape)",
            PRODUCT),
+    Mutant("one-variable bundle keeps an all-zero term", MULTI,
+           "for d, cs in enumerate(slots) if any(cs)])",
+           "for d, cs in enumerate(slots)])",
+           ("tests/test_multi.py::TestConstruction::test_from_components_matches_the_checked_constructor",)),
     Mutant("box limit doubled", MULTI,
            "if points > MAX_BOX_POINTS:",
            "if points > 2 * MAX_BOX_POINTS:",
            ("tests/test_multi.py::TestRingOps::test_box_limit_counts_product_points",)),
     # the difference step
     Mutant("differences along the wrong variable", CALCULUS,
-           "x, advance, read = _walker(columns[i], r, f.domain_moduli, var)",
-           "x, advance, read = _walker(columns[i], r, f.domain_moduli, 0)",
+           "x, advance, read, _ = _walker(columns[i], r, f.domain_moduli, var)",
+           "x, advance, read, _ = _walker(columns[i], r, f.domain_moduli, 0)",
            (KERNELS + "TestDeltaPower::test_two_variable_table",)),
     Mutant("k = 1 returned unchanged", CALCULUS,
            "        for _ in range(k):\n            x = advance(x)\n        columns[i] = read(x)",
@@ -184,6 +192,18 @@ MUTANTS = (
            "wrap = every((1 << span * w) - (1 << left), span * w)",
            "wrap = every((1 << (span - 1) * w) - (1 << left), span * w)",
            (KERNELS + "TestPackedStep::test_matches_list_step",)),
+    Mutant("lane-0 reader reads the far lane", CALCULUS,
+           "cut, first = step * block % span, lambda x: x & low",
+           "cut, first = step * block % span, lambda x: x >> far",
+           (KERNELS + "TestPackedStep::test_matches_list_step",)),
+    Mutant("big-endian lane-0 reader reads the far lane", CALCULUS,
+           "cut, first = -step * block % span, lambda x: x >> far",
+           "cut, first = -step * block % span, lambda x: x & low",
+           (KERNELS + "TestPackedStep::test_big_endian_lanes",)),
+    Mutant("big-endian lanes rotated the little-endian way", CALCULUS,
+           "cut, first = -step * block % span,",
+           "cut, first = step * block % span,",
+           (KERNELS + "TestPackedStep::test_big_endian_lanes",)),
     Mutant("lane width test made strict", CALCULUS,
            "if r <= 1 << (w - 1))",
            "if r < 1 << (w - 1))",

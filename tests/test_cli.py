@@ -922,7 +922,8 @@ def parse_outcome(parse, argv):
 
 class TestLargeTables:
     """A random map Z_2048 -> Z_2 interpolates, expands by differences and
-    classifies, and a random map Z_512 -> Z_16 is represented merged, well
+    classifies, a random map Z_1024 -> Z_512 expands by differences to its
+    interpolant, and a random map Z_512 -> Z_16 is represented merged, well
     inside the timeout: each interpolation weight row is one difference
     step, each difference step one packed whole-int step, and merging one
     variable is the identity."""
@@ -987,6 +988,17 @@ class TestLargeTables:
         proc = run_module("represent", table512[0], timeout=30)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == merged_stdout
+
+    def test_taylor_and_interp_agree_on_sixteen_bit_lanes(self, tmp_path):
+        # Z_1024 -> Z_512 needs 16-bit lanes: taylor's walk packs through
+        # array, reads each coefficient off entry 0 and checks the last
+        rng = random.Random(1024)
+        path = tmp_path / "z1024.json"
+        path.write_text(json.dumps({"domain": [1024], "codomain": [512],
+                                    "values": [rng.randrange(512) for _ in range(1024)]}))
+        taylor, interp = (run_module(cmd, str(path), timeout=30) for cmd in ("taylor", "interp"))
+        assert (taylor.returncode, taylor.stderr) == (interp.returncode, interp.stderr) == (0, "")
+        assert taylor.stdout == interp.stdout
 
 
 class TestArgumentHandling:

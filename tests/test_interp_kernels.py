@@ -19,8 +19,14 @@ the per-cell difference rebuilt through ``FiniteFn``'s constructor
 (``helpers.ref_apply_diff``).  The packed difference kernel
 (``calculus._walker``) must match the list step on ``_shifted`` on 1-3
 factors, every variable and strides past q_var, with moduli at every lane
-boundary and the moduli that take the list step (0 and 2^62 + 1), and its
-lane widths must be the narrowest with r <= 2^(w-1); ``divisibility_check``,
+boundary and the moduli that take the list step (0 and 2^62 + 1), its
+entry-0 reader must read the column's first entry, the big-endian layout
+must agree too (8-bit lanes with ``sys.byteorder`` patched), and its
+lane widths must be the narrowest with r <= 2^(w-1); ``taylor_expand``,
+one packed walk, must match the iterated ``ref_apply_diff`` for every d up
+to past the periodic bound, at every lane width, on the list path and on
+composite q, raising where the reference is not annihilated;
+``divisibility_check``,
 which walks the table reduced mod p^beta, must agree with ``delta_power``
 over Z, negative values included.  Every table ``apply_diff`` returns, and
 every polyfract ``interpolate_prime_power`` returns, must be one the
@@ -36,6 +42,7 @@ periodic degree bounds, ``interpolate_prime_power``), ``calculus._box_cells``
 (prefix sums) the per-point ``evaluate``, and the brute-force oracle's
 enumeration the per-point ``helpers.ref_representable_tables``.
 """
+import random
 from itertools import product
 from math import comb, prod
 from operator import mod
@@ -56,16 +63,18 @@ from polyfract import (
     divisibility_check,
     extend_information_coeffs,
     interpolate_prime_power,
+    taylor_expand,
     taylor_expand_multi,
     value_sum,
 )
+from polyfract import calculus
 from polyfract.calculus import (
     _box_cells, _packed_step, _periodicity_taps, _shifted, _walker,
     periodic_degree_bound,
 )
 from polyfract.classify import _representable_tables
 from polyfract.errors import PreconditionFailed
-from polyfract.exactnum import canonical
+from polyfract.exactnum import canonical, factorization
 from polyfract.lagrange import _weights
 
 from helpers import (
@@ -490,10 +499,35 @@ def kernel_columns(draw):
     return domain, var, step, r, tuple(column)
 
 
+def _check_walk(domain, var, step, r, col):
+    """Four ``_walker`` steps against the list step on ``_shifted``: the
+    kernel's form reads back to the column, its entry 0 is the column's
+    and it is falsy exactly when the column is zero."""
+    x, advance, read, first = _walker(col, r, domain, var, step)
+    for _ in range(4):
+        assert read(x) == col
+        assert first(x) == col[0]
+        assert bool(x) == any(col)
+        shifted = _shifted(col, domain, var, step)
+        col = tuple((a - b) % r if r else a - b for a, b in zip(shifted, col))
+        x = advance(x)
+
+
+@pytest.fixture
+def big_endian(monkeypatch):
+    """``sys.byteorder`` reads "big" inside the test, with no plan cached
+    from either side of it."""
+    _packed_step.cache_clear()
+    monkeypatch.setattr(calculus.sys, "byteorder", "big")
+    yield
+    monkeypatch.undo()
+    _packed_step.cache_clear()
+
+
 class TestPackedStep:
     """The packed difference kernel, ``calculus._walker``, against the list
-    step on ``_shifted``, and the divisibility check it walks against the
-    difference power over Z."""
+    step on ``_shifted`` in both byte orders, and the divisibility check it
+    walks against the difference power over Z."""
 
     def test_lane_widths(self):
         for r, w in LANE_WIDTHS.items():
@@ -511,14 +545,19 @@ class TestPackedStep:
     @example(((4,), 0, 1, 2**62 + 1, (2**62, 0, 1, 2**61)))
     @example(((3,), 0, 1, 0, (-5, 7, 2**70)))
     def test_matches_list_step(self, case):
-        domain, var, step, r, col = case
-        x, advance, read = _walker(col, r, domain, var, step)
-        for _ in range(4):
-            assert read(x) == col
-            assert bool(x) == any(col)
-            shifted = _shifted(col, domain, var, step)
-            col = tuple((a - b) % r if r else a - b for a, b in zip(shifted, col))
-            x = advance(x)
+        _check_walk(*case)
+
+    def test_big_endian_lanes(self, big_endian):
+        # bytearray packs 8-bit lanes in the order it is told, whatever the
+        # host's, so the big-endian layout runs on any machine
+        assert _packed_step((2,), 0, 1, 128)[0]((1, 2)) == 0x0102
+        rng = random.Random(8)
+        for _ in range(200):
+            domain = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+            var = rng.randrange(len(domain))
+            r = rng.choice((1, 2, 3, 127, 128))
+            col = tuple(rng.randrange(r) for _ in range(prod(domain)))
+            _check_walk(domain, var, rng.randint(1, 3 * domain[var] + 1), r, col)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))),
@@ -539,6 +578,65 @@ class TestPackedStep:
         reduced = FiniteFn.univariate(q, m, table)
         assert delta_power(reduced, k).columns[0] == tuple(
             v % m for v in delta_power(f, k).columns[0])
+
+
+# one modulus per lane width, and two that take the list step
+TAYLOR_MODULI = (1, 2, 127, 128, 129, 2**15 + 1, 2**31 + 1, 2**62, 0, 2**62 + 1)
+
+
+@st.composite
+def taylor_tables(draw):
+    """A table Z_q -> Z_r, q up to 12 with composite q, r from
+    ``TAYLOR_MODULI``: random values, or half the time, when q and r share
+    a prime p, a polyfractal one that reads an arbitrary table on
+    Z_(p^a) into the p-part of Z_r."""
+    q, r = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12))), draw(st.sampled_from(TAYLOR_MODULI))
+    shared = [(p, a) for p, a in factorization(q) if r and r % p == 0]
+    if shared and draw(st.booleans()):
+        p, a = draw(st.sampled_from(shared))
+        part = p ** next(b for b in range(63, 0, -1) if r % p**b == 0)
+        t = draw(st.lists(st.integers(0, part - 1), min_size=p**a, max_size=p**a))
+        c = draw(st.integers(0, r - 1))
+        values = [(c + r // part * t[x % p**a]) % r for x in range(q)]
+    else:
+        entry = st.integers(0, r - 1) if r else st.integers(-2**70, 2**70)
+        values = draw(st.lists(entry, min_size=q, max_size=q))
+    return FiniteFn.univariate(q, r, values)
+
+
+class TestTaylorWalk:
+    """``taylor_expand`` walks one packed column; it must match the
+    iterated ``helpers.ref_apply_diff``, which reads delta^k f(0) off each
+    rebuilt table, for every d up to past the periodic bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(taylor_tables())
+    @example(FiniteFn.univariate(8, 2**62, (5, 0, 1, 2**62 - 1, 7, 7, 0, 3)))
+    @example(FiniteFn.univariate(6, 129, (0, 43, 86, 0, 43, 86)))
+    @example(FiniteFn.univariate(4, 128, (127, 0, 0, 127)))
+    @example(FiniteFn.univariate(9, 2**31 + 1, tuple(range(9))))
+    @example(FiniteFn.univariate(3, 2**15 + 1, (1, 0, 0)))
+    @example(FiniteFn.univariate(4, 2**62 + 1, (2**62, 1, 2**62, 1)))
+    @example(FiniteFn.univariate(4, 0, (-3, -3, -3, -3)))
+    @example(FiniteFn.univariate(2, 0, (1, 2**70)))
+    @example(FiniteFn.univariate(1, 1, (0,)))
+    @example(FiniteFn.univariate(12, 127, (5,) * 12))
+    @example(FiniteFn.univariate(4, 2, (1, 0, 1, 1)))
+    def test_matches_iterated_reference(self, f):
+        (q,), (r,) = f.domain_moduli, f.codomain_moduli
+        bound = periodic_degree_bound(q, r)
+        tables = [f]
+        for _ in range(bound + 3):
+            tables.append(ref_apply_diff(DiffOp("delta"), tables[-1]))
+        event("annihilated" if tables[-1].is_zero() else "not annihilated")
+        for d in range(bound + 3):
+            if tables[d + 1].is_zero():
+                coeffs = [g.values[0][0] for g in tables[:d + 1]]
+                assert taylor_expand(f, d) == UniPolyfract(r, coeffs), d
+            else:
+                with pytest.raises(PreconditionFailed,
+                                   match=f"^difference power {d + 1} does not annihilate"):
+                    taylor_expand(f, d)
 
 
 class TestValueSum:

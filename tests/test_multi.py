@@ -3,7 +3,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyfract import (
     MultiPolyfract,
@@ -50,6 +50,21 @@ class TestConstruction:
                                    UniPolyfract(0, (-3, 1)), UniPolyfract(1, ())])
     def test_from_uni_is_one_component(self, p):
         assert MultiPolyfract.from_uni(p) == MultiPolyfract.from_components([p])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((0, 1, 2, 4, 9)),
+                              st.lists(st.integers(-20, 20), max_size=5)), max_size=3))
+    @example([(4, [1, 0, 3]), (9, [0, 0, 0, 2])])
+    @example([(4, [8, 4]), (0, [0, 0, 1])])
+    @example([])
+    def test_from_components_matches_the_checked_constructor(self, parts):
+        # the trusted build drops the degrees where every component is zero
+        top = max((len(cs) for _, cs in parts), default=0)
+        terms = tuple(((d,), tuple(cs[d] if d < len(cs) else 0 for _, cs in parts))
+                      for d in range(top))
+        want = MultiPolyfract(tuple(r for r, _ in parts), 1, terms)
+        assert MultiPolyfract.from_components(
+            [UniPolyfract(r, cs) for r, cs in parts]) == want
 
 
 class TestEvaluation:
