@@ -145,7 +145,10 @@ def represent(f: FiniteFn) -> Witness:
 
     Interpolates each prime's block map into the matching codomain slots;
     variables outside a coefficient's block never occur in its monofracts.
-    Raises NotPolyfractal (carrying a counterexample) otherwise.
+    Raises NotPolyfractal (carrying a counterexample) otherwise.  The block
+    tables and the witness are built trusted: each block value is reduced
+    mod its slot's modulus here, every coefficient comes canonical and
+    nonzero from the interpolation, and the terms are sorted by exponent.
     """
     result = is_polyfractal(f)
     if not result.polyfractal:
@@ -162,21 +165,20 @@ def represent(f: FiniteFn) -> Witness:
     for i, block_domain in enumerate(dom.parts):
         # A block point is a domain point of that block, and the block test
         # has shown the block output does not depend on the representative.
-        # The table constructor reduces each value into the block Z_m.
         cells = _box_cells(f.domain_moduli, block_domain, block_domain)
         for k, (m, col) in enumerate(zip(cod.parts[i], f.columns)):
             if m == 1:
                 continue
             slot = i * t + k
-            table = FiniteFn(block_domain, (m,), columns=([col[j] for j in cells],))
+            table = FiniteFn._trusted(block_domain, (m,),
+                                      (tuple([col[j] % m for j in cells]),))
             for exp, (c,) in interpolate_prime_power(table).terms:
                 full_exp = [0] * nvars
                 full_exp[i * n:(i + 1) * n] = exp
                 row = terms.setdefault(tuple(full_exp), [0] * len(codomain))
                 row[slot] = c
-    poly = MultiPolyfract(
-        codomain, nvars, tuple((e, tuple(c)) for e, c in terms.items())
-    )
+    poly = MultiPolyfract._trusted(
+        codomain, nvars, tuple([(e, tuple(c)) for e, c in sorted(terms.items())]))
     return Witness(poly, dom, cod)
 
 

@@ -92,11 +92,9 @@ def _require_keys(data: dict, keys: set[str], what: str) -> None:
 
 
 def _int_list(values, what: str, minimum: int) -> list[int]:
-    if not isinstance(values, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise ValidationError(f"{what} must be a list of integers")
-    if any(v < minimum for v in values):
+    if values and min(values) < minimum:
         raise ValidationError(f"{what} entries must be >= {minimum}")
     return list(values)
 

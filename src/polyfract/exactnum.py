@@ -73,18 +73,23 @@ def binom(n: int, k: int) -> int:
 
 
 def canonical(value: int, modulus: int) -> int:
-    """Least nonnegative representative for modulus >= 1, identity for 0."""
-    if modulus < 0:
-        raise ValueError("modulus must be >= 0")
-    return value if modulus == 0 else value % modulus
+    """Least nonnegative representative for modulus >= 1, identity for 0.
+    ``check_modulus`` checks the modulus and ``as_integer`` the value; a
+    constructor that has checked its modulus reduces inline instead."""
+    check_modulus(modulus)
+    value = as_integer(value, "value")
+    return value % modulus if modulus else value
 
 
 def balanced_lift(value: int, modulus: int) -> int:
     """Representative of smallest absolute value (ties resolved upward).
 
     For modulus 0 the value itself.  Used when emitting rational
-    polynomial forms, where small lifts keep coefficients readable.
+    polynomial forms, where small lifts keep coefficients readable.  The
+    arguments are checked as ``canonical`` checks them.
     """
+    check_modulus(modulus)
+    value = as_integer(value, "value")
     if modulus == 0:
         return value
     half = (modulus - 1) // 2
@@ -105,8 +110,8 @@ class Residue:
 
     def __post_init__(self):
         check_modulus(self.modulus)
-        value = as_integer(self.value, "value")
-        object.__setattr__(self, "value", canonical(value, self.modulus))
+        value, r = as_integer(self.value, "value"), self.modulus
+        object.__setattr__(self, "value", value % r if r else value)
 
     def _check(self, other: "Residue") -> None:
         if self.modulus != other.modulus:
@@ -140,7 +145,9 @@ def mod_project(x: Residue, r: int) -> Residue:
     """Project x from Z_{r'} onto Z_r, defined when r divides r'.
 
     Every r divides r' = 0, so projections out of Z are always allowed.
+    A target modulus that is not an integer >= 0 raises ValueError.
     """
+    check_modulus(r)
     rp = x.modulus
     if rp == 0 or (r >= 1 and rp % r == 0):
         return Residue(x.value, r)

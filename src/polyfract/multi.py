@@ -28,10 +28,10 @@ from operator import index, mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, TooLarge
-from .exactnum import Residue, as_integer, balanced_lift, binom, canonical
+from .exactnum import Residue, as_integer, balanced_lift, binom
 from .uni import (
-    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _numerators,
-    _to_monomial, box_coeffs, box_values,
+    RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _fractions,
+    _numerators, _to_monomial, box_coeffs, box_values,
 )
 
 __all__ = [
@@ -79,7 +79,8 @@ def _join_slots(slots: Sequence[Mapping[tuple[int, ...], object]]) -> tuple:
 
 @dataclass(frozen=True)
 class RationalPolyMulti:
-    """Sparse monomial-basis polynomial with rational tuple coefficients."""
+    """Sparse monomial-basis polynomial with rational tuple coefficients;
+    as in ``RationalPoly``, a Fraction coefficient is kept, not rebuilt."""
 
     nvars: int
     width: int
@@ -87,7 +88,7 @@ class RationalPolyMulti:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _normal_terms(
-            self.terms, self.nvars, self.width, lambda cs: tuple(map(Fraction, cs))
+            self.terms, self.nvars, self.width, lambda cs: tuple(_fractions(cs))
         ))
 
     def evaluate(self, x: Sequence[int]) -> tuple[Fraction, ...]:
@@ -126,8 +127,8 @@ class MultiPolyfract:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "terms", _normal_terms(
             self.terms, self.nvars, len(codomain),
-            lambda cs: tuple(canonical(as_integer(c, "coefficient"), r)
-                             for c, r in zip(cs, codomain)),
+            lambda cs: tuple([v % r if r else v for v, r in zip(
+                [as_integer(c, "coefficient") for c in cs], codomain)]),
         ))
 
     # -- constructors -------------------------------------------------

@@ -33,12 +33,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import factorial, lcm, prod
-from operator import add, sub
+from operator import add, index, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
 from .exactnum import (
-    Residue, as_integer, at_least, balanced_lift, canonical, check_modulus,
+    Residue, as_integer, at_least, balanced_lift, check_modulus,
 )
 
 __all__ = [
@@ -232,11 +232,14 @@ def _along(poly: _MPoly, axis: int,
 def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> tuple[_MPoly, int]:
     """Monomial numerators of sum c*C(X, e) over the denominator
     prod_j (max e_j)!, the largest exponent of each variable: the
-    univariate ``_to_monomial`` run along each variable in turn."""
+    univariate ``_to_monomial`` run along each variable in turn.  A
+    variable that occurs in no term (largest exponent 0) is skipped, since
+    on a constant row the kernel is the identity."""
     poly = {exp: c for exp, c in int_terms.items() if c}
     tops = [max(col) for col in zip(*poly)]
     for axis, top in enumerate(tops):
-        poly = _along(poly, axis, partial(_to_monomial, top=top))
+        if top:
+            poly = _along(poly, axis, partial(_to_monomial, top=top))
     return poly, prod(factorial(top) for top in tops)
 
 
@@ -250,10 +253,13 @@ def _binomial_coeffs(poly: _MPoly, den: int, nvars: int) -> dict[tuple[int, ...]
     Each must be an integer (the polynomial is integer valued), or
     NotIntegerValued is raised for the first that is not, the terms taken
     by their exponents read from the last variable to the first, largest
-    first.
+    first.  As in ``_expand_to_monomials``, a variable of largest exponent
+    0 is skipped: ``_to_falling`` leaves a constant row as it is.
     """
-    for axis in range(nvars):
-        poly = _along(poly, axis, _to_falling)
+    tops = [max(col) for col in zip(*poly)]
+    for axis, top in enumerate(tops):
+        if top:
+            poly = _along(poly, axis, _to_falling)
     out: dict[tuple[int, ...], int] = {}
     for exp in sorted(poly, key=lambda e: e[::-1], reverse=True):
         c = poly[exp] * prod(map(factorial, exp))
@@ -267,18 +273,24 @@ def _binomial_coeffs(poly: _MPoly, den: int, nvars: int) -> dict[tuple[int, ...]
     return out
 
 
+def _fractions(values: Iterable) -> list[Fraction]:
+    """The values as Fractions; one of type exactly Fraction is kept as it is."""
+    return [c if type(c) is Fraction else Fraction(c) for c in values]
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     """Dense univariate polynomial over Q in the ordinary monomial basis.
 
     Coefficients are indexed by exponent, stored in lowest terms with
-    trailing zeros trimmed (the zero polynomial has no coefficients).
+    trailing zeros trimmed (the zero polynomial has no coefficients); a
+    coefficient that is already a Fraction is kept, not rebuilt.
     """
 
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        normalized = _trim([Fraction(c) for c in self.coeffs])
+        normalized = _trim(_fractions(self.coeffs))
         object.__setattr__(self, "coeffs", tuple(normalized))
 
     @property
@@ -309,7 +321,8 @@ class UniPolyfract:
 
     ``coeffs[d]`` multiplies C(X, d); coefficients are canonical residues
     and trailing zeros are not stored, so the zero polyfract is the empty
-    sequence.
+    sequence.  The constructor reduces in one pass, as ``FiniteFn`` does;
+    the first coefficient that is not an integer raises ValueError.
     """
 
     modulus: int
@@ -317,9 +330,14 @@ class UniPolyfract:
 
     def __post_init__(self):
         check_modulus(self.modulus)
-        reduced = _trim([canonical(as_integer(c, "coefficient"), self.modulus)
-                         for c in self.coeffs])
-        object.__setattr__(self, "coeffs", tuple(reduced))
+        r, coeffs = self.modulus, tuple(self.coeffs)
+        try:
+            reduced = [c % r for c in map(index, coeffs)] if r else list(map(index, coeffs))
+        except TypeError:
+            for c in coeffs:
+                as_integer(c, "coefficient")
+            raise
+        object.__setattr__(self, "coeffs", tuple(_trim(reduced)))
 
     @classmethod
     def zero(cls, modulus: int) -> "UniPolyfract":

@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 CALCULUS = "src/polyfract/calculus.py"
 CERTIFY = "src/polyfract/certify.py"
+CLASSIFY = "src/polyfract/classify.py"
 EXACTNUM = "src/polyfract/exactnum.py"
 LAGRANGE = "src/polyfract/lagrange.py"
 MULTI = "src/polyfract/multi.py"
@@ -42,6 +43,7 @@ UNI = "src/polyfract/uni.py"
 KERNELS = "tests/test_interp_kernels.py::"
 BOX = "tests/test_kernels.py::TestBoxKernels"
 EDGE_REJECTED = "tests/test_edges.py::TestArgumentChecks::test_rejected_argument"
+UNI_FORM = "tests/test_uni.py::TestCanonicalForm::"
 PRODUCT = ("tests/test_kernels.py::TestMultivariate::test_product_cases",
            "tests/test_kernels.py::TestMultivariate::test_dense_one_variable_matches_univariate",
            "tests/test_kernels.py::TestMultivariate::test_compose_case")
@@ -99,7 +101,7 @@ MUTANTS = (
            "for e in range(q * n, (len(degrees) - 1) * n):",
            (KERNELS + "TestWeights::test_indicators",)),
     Mutant("cofract reduction dropped", EXACTNUM,
-           'object.__setattr__(self, "value", canonical(value, self.modulus))',
+           'object.__setattr__(self, "value", value % r if r else value)',
            'object.__setattr__(self, "value", value)',
            (KERNELS + "TestCofract",)),
     # the block test
@@ -267,6 +269,57 @@ MUTANTS = (
            "count = 0",
            "count = 1",
            ("tests/test_cli.py::TestCommands::test_certify_quick",)),
+    # the trusted witness of represent and its block tables
+    Mutant("witness terms left in insertion order", CLASSIFY,
+           "for e, c in sorted(terms.items())]",
+           "for e, c in terms.items()]",
+           ("tests/test_classify.py::TestTrustedWitness",)),
+    Mutant("block value left unreduced", CLASSIFY,
+           "(tuple([col[j] % m for j in cells]),)",
+           "(tuple([col[j] for j in cells]),)",
+           ("tests/test_classify.py::TestTrustedWitness",)),
+    # identity axes of the basis-change drivers; C(X, 1) = X makes a skip
+    # at top <= 1 equivalent, so the planted skip reaches top 2
+    Mutant("monomial expansion skips an axis of top 2", UNI,
+           "        if top:\n            poly = _along(poly, axis, partial(",
+           "        if top > 2:\n            poly = _along(poly, axis, partial(",
+           ("tests/test_kernels.py::TestAbsentVariables::test_expand_cases",)),
+    Mutant("falling-basis pass skips an axis of top 2", UNI,
+           "        if top:\n            poly = _along(poly, axis, _to_falling)",
+           "        if top > 2:\n            poly = _along(poly, axis, _to_falling)",
+           ("tests/test_kernels.py::TestAbsentVariables::test_binomial_cases",)),
+    # the one-pass constructors and the Fraction edge
+    Mutant("univariate constructor leaves negatives unreduced", UNI,
+           "reduced = [c % r for c in map(index, coeffs)] if r",
+           "reduced = [c % r if c >= 0 else c for c in map(index, coeffs)] if r",
+           (UNI_FORM + "test_constructor_matches_per_coefficient_reduction",)),
+    Mutant("univariate constructor reduces modulus 0", UNI,
+           "for c in map(index, coeffs)] if r else list(",
+           "for c in map(index, coeffs)] if r >= 0 else list(",
+           (UNI_FORM + "test_constructor_matches_per_coefficient_reduction",)),
+    Mutant("Fraction subclass kept as it is", UNI,
+           "c if type(c) is Fraction else Fraction(c)",
+           "c if isinstance(c, Fraction) else Fraction(c)",
+           ("tests/test_kernels.py::TestFractionInputs",)),
+    Mutant("problem file lists accept bools", "src/polyfract/cli.py",
+           "set(map(type, values)) <= {int}",
+           "set(map(type, values)) <= {int, bool}",
+           ("tests/test_cli.py::TestProblemFiles::test_integer_lists_checked",)),
+    # the exact-arithmetic helpers check their arguments
+    Mutant("canonical accepts a float modulus", EXACTNUM,
+           '    check_modulus(modulus)\n    value = as_integer(value, "value")\n'
+           "    return value % modulus",
+           '    value = as_integer(value, "value")\n    return value % modulus',
+           (EDGE_REJECTED + "[canonical modulus]",)),
+    Mutant("balanced lift accepts a float modulus", EXACTNUM,
+           '    check_modulus(modulus)\n    value = as_integer(value, "value")\n'
+           "    if modulus == 0:",
+           '    value = as_integer(value, "value")\n    if modulus == 0:',
+           (EDGE_REJECTED + "[balanced lift modulus]",)),
+    Mutant("projection accepts a float modulus", EXACTNUM,
+           "    check_modulus(r)\n    rp = x.modulus",
+           "    rp = x.modulus",
+           (EDGE_REJECTED + "[projection modulus]",)),
     # a point is checked before its terms are summed
     Mutant("point checked only where a binomial fails", MULTI,
            '        x = [as_integer(xi, "coordinate") for xi in x]\n',

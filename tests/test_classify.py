@@ -6,11 +6,12 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from polyfract import (
     Counterexample,
     FiniteFn,
+    MultiPolyfract,
     Residue,
     UniPolyfract,
     brute_force_polyfractal,
@@ -20,6 +21,7 @@ from polyfract import (
     represent,
     represent_univariate,
 )
+from polyfract import classify
 from polyfract.calculus import periodic_degree_bound
 from polyfract.errors import (
     ArityMismatch,
@@ -521,3 +523,44 @@ class TestBlockScanDifferential:
             with pytest.raises(NotPolyfractal, match=re.escape(
                     f"block {prime}: points {first} and {second} split")):
                 represent(f)
+
+
+def _witness_and_block_tables(f):
+    """``represent(f)`` and the block tables it hands to the interpolation."""
+    tables = []
+    interpolate = classify.interpolate_prime_power
+
+    def recording(table):
+        tables.append(table)
+        return interpolate(table)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "interpolate_prime_power", recording)
+        return represent(f), tables
+
+
+class TestTrustedWitness:
+    """``represent`` builds its block tables and its witness without the
+    checked constructors; each must equal what those constructors make of
+    the same data, and the witness must reproduce the table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(MIXED_MODULI), min_size=1, max_size=3).filter(
+               lambda d: prod(d) <= 200),
+           st.lists(st.sampled_from(MIXED_MODULI), min_size=1, max_size=2),
+           st.integers(0, 2**32))
+    # two primes with nonconstant blocks: block 0's terms come first and
+    # sort last; codomain factors of two primes: block values need reducing
+    @example([6], [6], 0)
+    @example([2, 1, 3], [6, 4], 1)
+    @example([12, 5], [10, 9], 2)
+    def test_matches_the_checked_constructors(self, domain, codomain, seed):
+        domain, codomain = tuple(domain), tuple(codomain)
+        f = FiniteFn(domain, codomain, block_built_rows(domain, codomain, random.Random(seed)))
+        witness, tables = _witness_and_block_tables(f)
+        p = witness.polyfract
+        assert p == MultiPolyfract(p.codomain, p.nvars, p.terms)
+        for t in tables:
+            assert t == FiniteFn(t.domain_moduli, t.codomain_moduli, columns=t.columns)
+        for x, row in zip(f.points(), f.values):
+            assert tuple(v.value for v in witness.evaluate(x)) == row

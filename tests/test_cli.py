@@ -144,6 +144,30 @@ class TestProblemFiles:
         with pytest.raises(ValidationError, match="codomain entries must be >= 1"):
             emit_problem(table)
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"domain": [2, true], "codomain": [4], "values": [1, 2]',
+         "domain must be a list of integers"),
+        ('"domain": [2], "codomain": [4], "values": [1, false]',
+         "values must be a list of integers"),
+        ('"domain": [2], "codomain": [4], "values": [1, 2.0]',
+         "values must be a list of integers"),
+        ('"domain": [2], "codomain": [4], "values": 3', "values must be a list of integers"),
+        ('"domain": [0], "codomain": [4], "values": []', "domain entries must be >= 1"),
+        ('"domain": [2], "codomain": [4], "values": [-1, 0]',
+         "values entries must be >= 0"),
+        # every entry's type is checked before any entry's range
+        ('"domain": [2], "codomain": [4], "values": [-1, true]',
+         "values must be a list of integers"),
+    ])
+    def test_integer_lists_checked(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            parse_problem("{" + fields + "}")
+        assert str(info.value) == message
+
+    def test_empty_domain_list_accepted(self):
+        f = parse_problem('{"domain": [], "codomain": [4], "values": [3]}')
+        assert f == FiniteFn((), (4,), ((3,),))
+
     def test_round_trip_idempotent(self):
         first = parse_problem(INDICATOR_PROBLEM)
         emitted = emit_problem(first)

@@ -34,7 +34,9 @@ from polyfract import (
     wavelength_reduce,
 )
 from polyfract.cli import emit_polynomial, parse_polynomial
-from polyfract.exactnum import check_modulus, factorization
+from polyfract.exactnum import (
+    Residue, balanced_lift, canonical, check_modulus, factorization, mod_project,
+)
 
 
 class TestDegenerateShapes:
@@ -166,6 +168,9 @@ OUT_OF_RANGE = [
      "degree bound must be >= 0, got -2"),
     ("oracle degree bound", lambda: brute_force_polyfractal(Z6, degree_bound=-1),
      "degree bound must be >= 0, got -1"),
+    ("canonical modulus", lambda: canonical(3, -7), "modulus must be >= 0"),
+    ("balanced lift modulus", lambda: balanced_lift(3, -7), "modulus must be >= 0"),
+    ("projection modulus", lambda: mod_project(Residue(5, 12), -3), "modulus must be >= 0"),
 ]
 
 # Arguments of the wrong type or kind: each raises ValueError naming it.
@@ -197,6 +202,12 @@ REJECTED = [
     ("split period", lambda: split_variable(PAIR, 0, 3), "period must be >= 1"),
     ("information coefficient", lambda: extend_information_coeffs([1.5, 0], 2, 1, 2),
      "information coefficient 1.5 is not an integer"),
+    ("canonical modulus", lambda: canonical(3, 7.5), "modulus 7.5 is not an integer"),
+    ("canonical value", lambda: canonical(3.5, 7), "value 3.5 is not an integer"),
+    ("balanced lift modulus", lambda: balanced_lift(3, 7.5), "modulus 7.5 is not an integer"),
+    ("balanced lift value", lambda: balanced_lift(3.5, 7), "value 3.5 is not an integer"),
+    ("projection modulus", lambda: mod_project(Residue(5, 12), 2.5),
+     "modulus 2.5 is not an integer"),
 ]
 
 

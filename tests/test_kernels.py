@@ -6,6 +6,9 @@ the five-step route run on ``Fraction`` values (``helpers.ref_*``), and
 reject a polynomial that is not integer valued with the same message.
 The degree-box kernels behind the product and ``compose`` are checked
 against per-point evaluation and the difference sums of ``helpers``.
+The n-variable drivers are also run directly on polynomials in which
+some variables occur in no term, the axes they skip, and the rational
+polynomials are built from Fractions, ints and strings alike.
 """
 from fractions import Fraction
 from itertools import product
@@ -24,7 +27,9 @@ from polyfract import (
     merge_variables,
 )
 from polyfract.errors import NotIntegerValued
-from polyfract.uni import box_coeffs, box_values
+from polyfract.uni import (
+    _binomial_coeffs, _expand_to_monomials, _numerators, box_coeffs, box_values,
+)
 
 from helpers import (
     RefNotIntegerValued,
@@ -307,6 +312,106 @@ class TestMultivariate:
             [UniPolyfract(r, tuple(ref_extract(s))) for r, s in zip(p.codomain, slots)]
         )
         assert merge_variables(p) == want
+
+
+@st.composite
+def sparse_terms(draw, values):
+    """{exponent: value} on 1-4 variables, some of which occur in no term;
+    exponents up to 4, so an axis of largest exponent 1 or 2 is common."""
+    nvars = draw(st.integers(1, 4))
+    present = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exp = tuple(draw(st.integers(0, 4)) if on else 0 for on in present)
+        terms[exp] = draw(values)
+    return nvars, terms
+
+
+def _numerator_form(poly):
+    """Sparse Fractions as integer numerators over one denominator."""
+    nums, den = _numerators(poly.values())
+    return dict(zip(poly, nums)), den
+
+
+class TestAbsentVariables:
+    """The n-variable basis-change drivers skip every variable of largest
+    exponent 0; they must still agree with the Fraction references, and
+    reject a polynomial that is not integer valued with the same message."""
+
+    # x_1 of top 2 beside an absent x_2; only the middle variable; no
+    # variable at all; an absent middle variable
+    EXPAND = [{(2, 0): 3, (1, 0): -1, (0, 0): 5}, {(0, 3, 0): 2, (0, 1, 0): 1},
+              {(0, 0): 7}, {(1, 0, 2): 4, (0, 0, 1): -3}]
+
+    @pytest.mark.parametrize("int_terms", EXPAND)
+    def test_expand_cases(self, int_terms):
+        poly, den = _expand_to_monomials(int_terms)
+        assert {e: Fraction(n, den) for e, n in poly.items()} == ref_expand(int_terms)
+
+    @given(sparse_terms(st.integers(-50, 50)))
+    @settings(max_examples=150, deadline=None)
+    def test_expand(self, case):
+        _, int_terms = case
+        poly, den = _expand_to_monomials(int_terms)
+        assert {e: Fraction(n, den) for e, n in poly.items()} == ref_expand(int_terms)
+
+    # x_1^2 / 2 beside an absent x_2 (integer valued), x_1 / 2 in the same
+    # place (not), a constant 1/3 in two variables and in one, and
+    # (x_2^2 - x_2)/2 + 3 with x_1 and x_3 absent
+    BINOMIAL = [(2, {(2, 0): Fraction(1, 2), (1, 0): Fraction(-1, 2)}),
+                (2, {(2, 0): Fraction(1, 2)}),
+                (2, {(0, 0): Fraction(1, 3)}),
+                (1, {(0,): Fraction(1, 3), (2,): Fraction(1, 2)}),
+                (3, {(0, 2, 0): Fraction(1, 2), (0, 1, 0): Fraction(-1, 2),
+                     (0, 0, 0): Fraction(3)})]
+
+    @pytest.mark.parametrize("nvars, poly", BINOMIAL)
+    def test_binomial_cases(self, nvars, poly):
+        nums, den = _numerator_form(poly)
+        assert outcome(_binomial_coeffs, nums, den, nvars) == \
+            outcome(ref_binomial_coeffs_multi, poly, nvars)
+
+    def test_binomial_rejection_names_the_exponent(self):
+        nums, den = _numerator_form({(2, 0): Fraction(1, 2)})
+        with pytest.raises(NotIntegerValued) as exc:
+            _binomial_coeffs(nums, den, 2)
+        assert str(exc.value) == "binomial coefficient at exponent (1, 0) is 1/2, not an integer"
+
+    @given(sparse_terms(fractions))
+    @settings(max_examples=150, deadline=None)
+    def test_binomial(self, case):
+        nvars, poly = case
+        poly = {e: c for e, c in poly.items() if c}
+        nums, den = _numerator_form(poly) if poly else ({}, 1)
+        assert outcome(_binomial_coeffs, nums, den, nvars) == \
+            outcome(ref_binomial_coeffs_multi, poly, nvars)
+
+
+class TestFractionInputs:
+    """The rational polynomials keep a coefficient whose type is exactly
+    Fraction and convert everything else; either way the result is the
+    same polynomial of plain Fractions."""
+
+    class Sub(Fraction):
+        pass
+
+    def test_univariate(self):
+        inputs = [(Fraction(1, 2), Fraction(-3), Fraction(0)), (self.Sub(1, 2), -3, 0),
+                  ("1/2", "-3", "0"), (0.5, -3, 0)]
+        polys = [RationalPoly(cs) for cs in inputs]
+        assert all(p == polys[0] and p.coeffs == (Fraction(1, 2), Fraction(-3))
+                   for p in polys)
+        assert all(type(c) is Fraction for p in polys for c in p.coeffs)
+
+    def test_multivariate(self):
+        inputs = [(Fraction(2, 4), Fraction(0)), (self.Sub(1, 2), 0), ("1/2", "0"),
+                  (Fraction(1, 2), 0)]
+        polys = [RationalPolyMulti(2, 2, (((1, 0), cs), ((0, 0), (7, "7/1"))))
+                 for cs in inputs]
+        assert all(p == polys[0] for p in polys)
+        assert polys[0].terms == (((0, 0), (Fraction(7), Fraction(7))),
+                                  ((1, 0), (Fraction(1, 2), Fraction(0))))
+        assert all(type(c) is Fraction for p in polys for _, cs in p.terms for c in cs)
 
 
 def _from_slots(slots, codomain, nvars):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyfract import RationalPoly, Residue, UniPolyfract, coeffs_from_values
 from polyfract.errors import ModulusMismatch, NotIntegerValued
+from polyfract.exactnum import as_integer, canonical
 
 from helpers import diff_coeffs, eval_binomial_coeffs
 
@@ -45,6 +46,44 @@ class TestCanonicalForm:
     def test_non_integral_coefficient_rejected(self):
         with pytest.raises(ValueError, match="coefficient 2.5 is not an integer"):
             UniPolyfract(7, (2.5,))
+
+    # the trivial group, Z and prime powers; negatives, bools, zeros that
+    # trim away and big integers in both directions
+    MODULI = (0, 1, 2, 3, 4, 8, 9, 25, 27, 128)
+    MIXED = (-130, -9, -1, 0, 1, True, False, 8, 9, 10**30 + 3, -(10**30), 0, 0)
+
+    @staticmethod
+    def _reference(modulus, coeffs):
+        """Per-coefficient ``canonical(as_integer(c), m)``, trimmed."""
+        out = [canonical(as_integer(c, "coefficient"), modulus) for c in coeffs]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_constructor_matches_per_coefficient_reduction(self, modulus):
+        for coeffs in (self.MIXED, self.MIXED[::-1], (-1,), (False,), ()):
+            got = UniPolyfract(modulus, coeffs).coeffs
+            assert got == self._reference(modulus, coeffs)
+            assert all(type(c) is int for c in got)
+
+    @given(st.sampled_from(MODULI), st.lists(st.integers(-10**6, 10**6) | st.booleans(),
+                                             max_size=12))
+    def test_constructor_matches_reference(self, modulus, coeffs):
+        assert UniPolyfract(modulus, coeffs).coeffs == self._reference(modulus, coeffs)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_constructor_names_the_first_non_integer(self, modulus):
+        with pytest.raises(ValueError) as got:
+            UniPolyfract(modulus, (3, -2, 2.0, Fraction(1, 2)))
+        with pytest.raises(ValueError) as want:
+            self._reference(modulus, (3, -2, 2.0, Fraction(1, 2)))
+        assert str(got.value) == str(want.value) == "coefficient 2.0 is not an integer"
+
+    def test_one_shot_iterators(self):
+        assert UniPolyfract(7, iter([-1, 9, 7])).coeffs == (6, 2)
+        with pytest.raises(ValueError, match="^coefficient 2.5 is not an integer$"):
+            UniPolyfract(7, iter([1, 2.5]))
 
     def test_bad_monofract_index_rejected(self):
         for delta, message in ((-2, "delta must be >= 0"), (-1, "delta must be >= 0"),
