@@ -197,6 +197,9 @@ class DiffOp:
         object.__setattr__(self, "stride", stride)
 
 
+_DELTA = DiffOp("delta")
+
+
 def _shifted(seq: Sequence, domain: tuple[int, ...], var: int, step: int) -> list:
     """Entries of x -> seq[index(x + step*e_var)] for any column laid out
     in the mixed-radix order of ``domain``: each run of q_var blocks (one
@@ -354,20 +357,21 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
     Requires delta^(d+1) f == 0 on the whole (wrapped) domain; then the
     returned polyfract matches f at every domain point.  A table that some
     delta^(d+1) annihilates is a q-periodic polyfract, of degree at most
-    D = ``_degree_cap``, so delta^(min(d, D)+1) annihilates it exactly
-    when delta^(d+1) does, and only that many steps run.
+    D = ``periodic_degree_bound(q, r)``, so delta^(min(d, D)+1) annihilates
+    it exactly when delta^(d+1) does, and only that many steps run.
 
     One ``_walker`` walk packs the column once and reads each delta^k f(0)
     off entry 0 before the next step.  The last difference comes back as
     a table, and one ``apply_diff`` delta on it is the annihilation test:
     it is the expansion's precondition check, and it keeps
     ``calculus.apply_diff`` firing on the benchmark's interp and certify
-    traces.  ROADMAP item 1 turns it into a plain ``advance``.
+    traces.  ROADMAP item 1 turns it into a plain ``advance``.  The walk's
+    coefficients are canonical: the result is ``UniPolyfract._trusted``.
     """
     d = _degree_bound(d)
     _check_univariate(f)
     domain, (r,) = f.domain_moduli, f.codomain_moduli
-    steps = min(d, _degree_cap(domain[0], (r,))) + 1
+    steps = min(d, periodic_degree_bound(domain[0], r)) + 1
     x, advance, read, first = _walker(f.columns[0], r, domain, 0)
     coeffs = []
     for _ in range(steps - 1):
@@ -375,11 +379,11 @@ def taylor_expand(f: FiniteFn, d: int) -> UniPolyfract:
         x = advance(x)
     last = FiniteFn._trusted(domain, (r,), (read(x),))
     coeffs.append(last.columns[0][0])
-    if not apply_diff(DiffOp("delta"), last).is_zero():
+    if not apply_diff(_DELTA, last).is_zero():
         raise PreconditionFailed(
             f"difference power {d + 1} does not annihilate the table"
         )
-    return UniPolyfract(r, tuple(coeffs))
+    return UniPolyfract._trusted(r, coeffs)
 
 
 def taylor_expand_multi(f: FiniteFn, bounds: Sequence[int]) -> MultiPolyfract:
@@ -482,8 +486,8 @@ def hrycaj_periodicity(p: UniPolyfract, q: int) -> bool:
     P(x + q) = P(x) for all x."""
     q, r = at_least(q, 1, "period"), p.modulus
     (s, taps), coeffs = _periodicity_taps(q, r), p.coeffs + (0,) * q
-    return not any(canonical(sum(map(mul, taps, coeffs[d + s:d + q + 1:s])), r)
-                   for d in range(len(p.coeffs)))
+    sums = (sum(map(mul, taps, coeffs[d + s:d + q + 1:s])) for d in range(len(p.coeffs)))
+    return not any(v % r if r else v for v in sums)
 
 
 def divisibility_check(f: FiniteFn, beta: int, mode: str = "sharp") -> bool:

@@ -92,30 +92,38 @@ class ClassificationResult:
     counterexample: Counterexample | None = None
 
 
+@lru_cache(maxsize=256)
+def _block_plan(domain: tuple[int, ...], codomain: tuple[int, ...]) -> tuple:
+    """(p, cells, slots) for each prime that can fail, in order: its domain
+    parts are not the whole domain, and slots, each codomain column k with
+    p-part m != 1 as (k, m, whether m is its modulus), is not empty.
+    cells[x] is the position of x's block point.  Made once per shape."""
+    dom, cod = _split_group(domain, codomain)
+    plan = []
+    for p, in_parts, out_parts in zip(dom.primes, dom.parts, cod.parts):
+        slots = tuple((k, m, m == r) for k, (m, r) in enumerate(zip(out_parts, codomain))
+                      if m != 1)
+        if in_parts != domain and slots:
+            plan.append((p, tuple(_box_cells(domain, domain, in_parts)), slots))
+    return tuple(plan)
+
+
 def is_polyfractal(f: FiniteFn) -> ClassificationResult:
     """Block-dependency test for representability by a rational polynomial.
 
-    For each prime in order, every codomain column is reduced into that
-    prime's block and compared, as a whole, with itself read at each
-    point's block point a = x mod P (a_j < P_j <= q_j, so a is the first
-    point of its group in index order).  A prime whose domain parts are
-    the whole domain, or whose codomain block is trivial, cannot fail.
-    The counterexample is the earliest point that clashes in any column,
-    paired with its block point.
+    For each prime of the shape's cached ``_block_plan``, in order, every
+    codomain column of a nontrivial slot is reduced into that prime's
+    block (no reduction where the block is the whole factor) and compared,
+    as a whole, with itself read at each point's block point a = x mod P
+    (a_j < P_j <= q_j, so a is the first point of its group in index
+    order).  The counterexample is the earliest point that clashes in any
+    column, paired with its block point.
     """
-    dom, cod = _splits(f)
-    domain = f.domain_moduli
-    for i, p in enumerate(dom.primes):
-        in_parts = dom.parts[i]
-        if in_parts == domain:
-            continue
-        cells = first = None
-        for col, m, r in zip(f.columns, cod.parts[i], f.codomain_moduli):
-            if m == 1:
-                continue
-            if cells is None:
-                cells = _box_cells(domain, domain, in_parts)
-            red = list(col) if m == r else [v % m for v in col]
+    for p, cells, slots in _block_plan(f.domain_moduli, f.codomain_moduli):
+        first = None
+        for k, m, whole in slots:
+            col = f.columns[k]
+            red = list(col) if whole else [v % m for v in col]
             got = list(map(red.__getitem__, cells))
             if got != red:
                 j = next(compress(count(), map(ne, got, red)))

@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .exactnum import Residue, balanced_lift, mod_project
+from .exactnum import Residue, _balanced_lift, mod_project
 from .lagrange import cofract, interpolate_prime_power, lagrange_polyfract
 from .multi import MultiPolyfract, RationalPolyMulti
 
@@ -255,7 +255,7 @@ def _check_leading_denominator(poly: MultiPolyfract) -> None:
     fact = prod(map(factorial, exp))
     for c, r in zip(coeffs, poly.codomain):
         if c:
-            den = fact // gcd(balanced_lift(c, r), fact)
+            den = fact // gcd(_balanced_lift(c, r), fact)
             if (den.bit_length() - 1) * 30102 // 100000 >= limit:
                 raise _too_long()
 

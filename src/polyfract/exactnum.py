@@ -89,7 +89,11 @@ def balanced_lift(value: int, modulus: int) -> int:
     arguments are checked as ``canonical`` checks them.
     """
     check_modulus(modulus)
-    value = as_integer(value, "value")
+    return _balanced_lift(as_integer(value, "value"), modulus)
+
+
+def _balanced_lift(value: int, modulus: int) -> int:
+    """``balanced_lift`` without its checks, for canonical ints and checked moduli."""
     if modulus == 0:
         return value
     half = (modulus - 1) // 2

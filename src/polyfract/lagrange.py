@@ -111,20 +111,14 @@ def degree_bound(p: int, beta: int, alphas: Sequence[int]) -> int:
     return sum(p**a for a in alphas) - n + (beta - 1) * (p - 1) * p ** (max(alphas) - 1)
 
 
-def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
-    """Interpolating polyfract of a map between same-prime power groups.
-
-    The coefficient at delta is the cofract-weighted value sum
-    sum_x prod_j (delta_j | delta_j - x_j)_{q_j, p^beta} f(x); support stays
-    inside the per-variable bounds and evaluation reproduces f everywhere.
-    Along each axis only the q information coefficients are such sums; the
-    rest follow from P_(k+q) = -sum_(j<q) C(q, j) P_(k+j) (mod r).
-    """
-    if len(f.codomain_moduli) != 1:
-        raise BadCodomain("a single cyclic codomain factor is required")
-    r = f.codomain_moduli[0]
+@lru_cache(maxsize=64)
+def _plan(domain: tuple[int, ...], r: int) -> tuple | None:
+    """Interpolation plan of a table shape, made once: None for r = 1, else
+    each axis's (q, rows, s, steps, degrees) from ``_weights``, last axis
+    first, and the degree box's exponents in product order.  A shape that
+    is not single-prime raises on every call (exceptions are not cached)."""
     domain_primes = set()
-    for q in f.domain_moduli:
+    for q in domain:
         fac = factorization(q)
         if len(fac) > 1:
             raise MixedPrimes(f"domain modulus {q} is not a prime power")
@@ -132,7 +126,7 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     if len(domain_primes) > 1:
         raise MixedPrimes(f"domain involves primes {sorted(domain_primes)}")
     if r == 1:  # trivial codomain: everything interpolates to zero
-        return MultiPolyfract.zero((1,), f.nvars)
+        return None
     rfac = factorization(r) if r else ()
     if len(rfac) != 1:
         raise BadCodomain(f"codomain modulus {r} is not a prime power")
@@ -140,15 +134,35 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
     if domain_primes and domain_primes != {p}:
         raise BadCodomain(f"codomain prime {p} differs from domain prime "
                           f"{domain_primes.pop()}")
+    axes = tuple((q, *_weights(q, r)) for q in reversed(domain))
+    return axes, tuple(product(*(_weights(q, r)[3] for q in domain)))
 
+
+def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
+    """Interpolating polyfract of a map between same-prime power groups.
+
+    The coefficient at delta is the cofract-weighted value sum
+    sum_x prod_j (delta_j | delta_j - x_j)_{q_j, p^beta} f(x); support stays
+    inside the per-variable bounds and evaluation reproduces f everywhere.
+    Along each axis only the q information coefficients are such sums; the
+    rest follow from P_(k+q) = -sum_(j<q) C(q, j) P_(k+j) (mod r).  The
+    shape's checks, weights and exponents come from its cached ``_plan``;
+    each call runs only the contraction.
+    """
+    if len(f.codomain_moduli) != 1:
+        raise BadCodomain("a single cyclic codomain factor is required")
+    r = f.codomain_moduli[0]
+    plan = _plan(f.domain_moduli, r)
+    if plan is None:
+        return MultiPolyfract.zero((1,), f.nvars)
+    axes, exponents = plan
     # The weight prod_j (delta_j | delta_j - x_j) is a tensor product, so
     # the table is contracted one axis at a time: each step sums away the
     # last x axis and puts its delta axis in front, one n-entry segment (one
     # per line) per delta.  Past the q information segments each entry is
     # the steps times its line's entries (q - j) * n back: a strided slice.
     flat = f.columns[0]
-    for q in reversed(f.domain_moduli):
-        rows, s, steps, degrees = _weights(q, r)
+    for q, rows, s, steps, degrees in axes:
         blocks = [flat[i:i + q] for i in range(0, len(flat), q)]
         flat = [sum(map(mul, weights, block)) % r for weights in rows for block in blocks]
         n = len(blocks)
@@ -156,8 +170,7 @@ def interpolate_prime_power(f: FiniteFn) -> MultiPolyfract:
             flat.append(sum(map(mul, steps, flat[e - (q - s) * n:e:s * n])) % r)
     # Every c is reduced mod r and the exponents come in product order,
     # which is the sorted order the constructor would produce.
-    deltas = product(*(_weights(q, r)[3] for q in f.domain_moduli))
-    terms = tuple((delta, (c,)) for delta, c in zip(deltas, flat) if c)
+    terms = tuple((delta, (c,)) for delta, c in zip(exponents, flat) if c)
     return MultiPolyfract._trusted((r,), f.nvars, terms)
 
 

@@ -28,7 +28,7 @@ from operator import index, mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, ModulusMismatch, TooLarge
-from .exactnum import Residue, as_integer, balanced_lift, binom
+from .exactnum import Residue, _balanced_lift, as_integer, binom
 from .uni import (
     RationalPoly, UniPolyfract, _binomial_coeffs, _expand_to_monomials, _fractions,
     _numerators, _to_monomial, box_coeffs, box_values,
@@ -197,13 +197,13 @@ class MultiPolyfract:
         return {exp: coeffs[i] for exp, coeffs in self.terms if coeffs[i]}
 
     def component_uni(self, i: int) -> UniPolyfract:
-        """Slot i as a univariate polyfract; requires nvars == 1."""
+        """Slot i as a univariate polyfract (built trusted); nvars must be 1."""
         if self.nvars != 1:
             raise ArityMismatch("component_uni needs a single-variable polyfract")
         coeffs = [0] * (max((exp[0] for exp, _ in self.terms), default=-1) + 1)
         for exp, cs in self.terms:
             coeffs[exp[0]] = cs[i]
-        return UniPolyfract(self.codomain[i], tuple(coeffs))
+        return UniPolyfract._trusted(self.codomain[i], coeffs)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -327,7 +327,7 @@ class MultiPolyfract:
         slots = []
         for i, r in enumerate(self.codomain):
             mono, den = _expand_to_monomials(
-                {e: balanced_lift(c, r) for e, c in self.slot_map(i).items()})
+                {e: _balanced_lift(c, r) for e, c in self.slot_map(i).items()})
             slots.append({exp: Fraction(n, den) for exp, n in mono.items()})
         return RationalPolyMulti(self.nvars, self.width, _join_slots(slots))
 

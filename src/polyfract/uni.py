@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ModulusMismatch, NotIntegerValued
 from .exactnum import (
-    Residue, as_integer, at_least, balanced_lift, check_modulus,
+    Residue, _balanced_lift, as_integer, at_least, check_modulus,
 )
 
 __all__ = [
@@ -233,12 +233,12 @@ def _expand_to_monomials(int_terms: Mapping[tuple[int, ...], int]) -> tuple[_MPo
     """Monomial numerators of sum c*C(X, e) over the denominator
     prod_j (max e_j)!, the largest exponent of each variable: the
     univariate ``_to_monomial`` run along each variable in turn.  A
-    variable that occurs in no term (largest exponent 0) is skipped, since
-    on a constant row the kernel is the identity."""
+    variable of largest exponent at most 1 is skipped, since on a row of
+    degree at most 1 the kernel is the identity (C(X, 1) = X)."""
     poly = {exp: c for exp, c in int_terms.items() if c}
     tops = [max(col) for col in zip(*poly)]
     for axis, top in enumerate(tops):
-        if top:
+        if top > 1:
             poly = _along(poly, axis, partial(_to_monomial, top=top))
     return poly, prod(factorial(top) for top in tops)
 
@@ -254,11 +254,11 @@ def _binomial_coeffs(poly: _MPoly, den: int, nvars: int) -> dict[tuple[int, ...]
     NotIntegerValued is raised for the first that is not, the terms taken
     by their exponents read from the last variable to the first, largest
     first.  As in ``_expand_to_monomials``, a variable of largest exponent
-    0 is skipped: ``_to_falling`` leaves a constant row as it is.
+    at most 1 is skipped: ``_to_falling`` leaves such a row as it is.
     """
     tops = [max(col) for col in zip(*poly)]
     for axis, top in enumerate(tops):
-        if top:
+        if top > 1:
             poly = _along(poly, axis, _to_falling)
     out: dict[tuple[int, ...], int] = {}
     for exp in sorted(poly, key=lambda e: e[::-1], reverse=True):
@@ -338,6 +338,14 @@ class UniPolyfract:
                 as_integer(c, "coefficient")
             raise
         object.__setattr__(self, "coeffs", tuple(_trim(reduced)))
+
+    @classmethod
+    def _trusted(cls, modulus: int, coeffs: Sequence[int]) -> "UniPolyfract":
+        """Build without ``__post_init__``, trimming trailing zeros only: the
+        caller guarantees a checked modulus and canonical ints."""
+        p = object.__new__(cls)
+        p.__dict__.update(modulus=modulus, coeffs=tuple(_trim(list(coeffs))))
+        return p
 
     @classmethod
     def zero(cls, modulus: int) -> "UniPolyfract":
@@ -426,7 +434,7 @@ class UniPolyfract:
         is _to_monomial's numerators over (n-1)!, n the number of
         coefficients.
         """
-        lifted = [balanced_lift(c, self.modulus) for c in self.coeffs]
+        lifted = [_balanced_lift(c, self.modulus) for c in self.coeffs]
         if not lifted:
             return RationalPoly()
         top = len(lifted) - 1

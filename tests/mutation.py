@@ -100,19 +100,34 @@ MUTANTS = (
            "for e in range(q * n, len(degrees) * n):",
            "for e in range(q * n, (len(degrees) - 1) * n):",
            (KERNELS + "TestWeights::test_indicators",)),
+    # the interpolation plan of a table shape
+    Mutant("interpolation plan's axes in the wrong order", LAGRANGE,
+           "for q in reversed(domain))",
+           "for q in domain)",
+           (KERNELS + "TestInterpolationPlan",)),
     Mutant("cofract reduction dropped", EXACTNUM,
            'object.__setattr__(self, "value", value % r if r else value)',
            'object.__setattr__(self, "value", value)',
            (KERNELS + "TestCofract",)),
-    # the block test
-    Mutant("block point by the full modulus", "src/polyfract/classify.py",
-           "cells = _box_cells(domain, domain, in_parts)",
-           "cells = _box_cells(domain, domain, domain)",
-           ("tests/test_classify.py::TestBlockScanDifferential",)),
-    Mutant("counterexample from the first clashing column", "src/polyfract/classify.py",
+    # the block test and its plan of a table shape
+    Mutant("block point by the full modulus", CLASSIFY,
+           "tuple(_box_cells(domain, domain, in_parts))",
+           "tuple(_box_cells(domain, domain, domain))",
+           ("tests/test_classify.py::TestBlockScanDifferential",
+            "tests/test_classify.py::TestBlockPlan")),
+    Mutant("counterexample from the first clashing column", CLASSIFY,
            "first = j if first is None else min(first, j)",
            "first = j if first is None else first",
-           ("tests/test_classify.py::TestBlockScanDifferential",)),
+           ("tests/test_classify.py::TestBlockScanDifferential",
+            "tests/test_classify.py::TestBlockPlan")),
+    Mutant("block plan drops its last prime", CLASSIFY,
+           "    return tuple(plan)\n",
+           "    return tuple(plan[:-1])\n",
+           ("tests/test_classify.py::TestBlockPlan",)),
+    Mutant("block plan's whole-factor shortcut inverted", CLASSIFY,
+           "(k, m, m == r)",
+           "(k, m, m != r)",
+           ("tests/test_classify.py::TestBlockPlan",)),
     # the degree search and the difference triangle
     Mutant("degree search starts one step late", CALCULUS,
            "        steps = 0\n        while x and",
@@ -123,11 +138,11 @@ MUTANTS = (
            "for _ in range(steps - 2):",
            ("tests/test_calculus.py::TestTaylor",)),
     Mutant("Taylor steps clipped one short of the periodic bound", CALCULUS,
-           "min(d, _degree_cap(domain[0], (r,))) + 1",
-           "min(d, _degree_cap(domain[0], (r,)) - 1) + 1",
+           "min(d, periodic_degree_bound(domain[0], r)) + 1",
+           "min(d, periodic_degree_bound(domain[0], r) - 1) + 1",
            ("tests/test_calculus.py::TestTaylor::test_degrees_beyond_the_periodic_bound",)),
     Mutant("Taylor's final annihilation check skipped", CALCULUS,
-           "if not apply_diff(DiffOp(\"delta\"), last).is_zero():",
+           "if not apply_diff(_DELTA, last).is_zero():",
            "if False:",
            ("tests/test_calculus.py::TestTaylor::test_insufficient_degree",)),
     Mutant("triangle reads the wrong end of its row", UNI,
@@ -278,17 +293,21 @@ MUTANTS = (
            "(tuple([col[j] % m for j in cells]),)",
            "(tuple([col[j] for j in cells]),)",
            ("tests/test_classify.py::TestTrustedWitness",)),
-    # identity axes of the basis-change drivers; C(X, 1) = X makes a skip
-    # at top <= 1 equivalent, so the planted skip reaches top 2
+    # identity axes of the basis-change drivers (top 0 or 1, C(X, 1) = X);
+    # the planted skip reaches top 2
     Mutant("monomial expansion skips an axis of top 2", UNI,
-           "        if top:\n            poly = _along(poly, axis, partial(",
+           "        if top > 1:\n            poly = _along(poly, axis, partial(",
            "        if top > 2:\n            poly = _along(poly, axis, partial(",
            ("tests/test_kernels.py::TestAbsentVariables::test_expand_cases",)),
     Mutant("falling-basis pass skips an axis of top 2", UNI,
-           "        if top:\n            poly = _along(poly, axis, _to_falling)",
+           "        if top > 1:\n            poly = _along(poly, axis, _to_falling)",
            "        if top > 2:\n            poly = _along(poly, axis, _to_falling)",
            ("tests/test_kernels.py::TestAbsentVariables::test_binomial_cases",)),
     # the one-pass constructors and the Fraction edge
+    Mutant("trusted univariate result left untrimmed", UNI,
+           "coeffs=tuple(_trim(list(coeffs)))",
+           "coeffs=tuple(coeffs)",
+           ("tests/test_uni.py::TestTrustedResults",)),
     Mutant("univariate constructor leaves negatives unreduced", UNI,
            "reduced = [c % r for c in map(index, coeffs)] if r",
            "reduced = [c % r if c >= 0 else c for c in map(index, coeffs)] if r",
@@ -312,9 +331,8 @@ MUTANTS = (
            '    value = as_integer(value, "value")\n    return value % modulus',
            (EDGE_REJECTED + "[canonical modulus]",)),
     Mutant("balanced lift accepts a float modulus", EXACTNUM,
-           '    check_modulus(modulus)\n    value = as_integer(value, "value")\n'
-           "    if modulus == 0:",
-           '    value = as_integer(value, "value")\n    if modulus == 0:',
+           "    check_modulus(modulus)\n    return _balanced_lift(",
+           "    return _balanced_lift(",
            (EDGE_REJECTED + "[balanced lift modulus]",)),
     Mutant("projection accepts a float modulus", EXACTNUM,
            "    check_modulus(r)\n    rp = x.modulus",

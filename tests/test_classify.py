@@ -525,6 +525,55 @@ class TestBlockScanDifferential:
                 represent(f)
 
 
+# Mixed-prime shapes with several domain and codomain factors: a block is
+# the whole factor (m == r) or a proper part of it, a prime's domain parts
+# are trivial or the whole domain, and a codomain factor is trivial.
+# Neighbours share a domain or a codomain, so a plan read for the wrong
+# shape shows in the alternation.
+PLAN_SHAPES = (((6,), (6,)), ((6,), (10,)), ((6,), (2, 9)), ((2, 1, 3), (6, 4)),
+               ((12, 5), (6, 4)), ((12, 5), (10, 9)), ((4,), (12,)), ((6, 10), (15, 4)),
+               ((6, 10), (4,)), ((3, 4), (1, 6)), ((30,), (2, 3, 5)), ((30,), (6,)))
+
+
+def _plan_tables(domain, codomain, count, seed):
+    """``count`` tables of one shape, in turn uniformly random, built block
+    by block, and built with one cell changed."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            rows = [tuple(rng.randrange(r) for r in codomain) for _ in range(prod(domain))]
+        else:
+            rows = block_built_rows(domain, codomain, rng)
+            if i % 3 == 2:
+                rows[rng.randrange(len(rows))] = tuple(rng.randrange(r) for r in codomain)
+        yield FiniteFn(domain, codomain, rows)
+
+
+class TestBlockPlan:
+    """``is_polyfractal`` runs on a plan made once per table shape; every
+    table of a shape, and shapes called in alternation, must give the
+    reference scan's verdict and counterexample, so a plan built for one
+    table or one shape and read for another shows."""
+
+    def test_plan_holds_the_primes_that_can_fail(self):
+        # Z_4 -> Z_12: the 2-parts of the domain are the domain itself
+        assert classify._block_plan((4,), (12,)) == ((3, (0, 0, 0, 0), ((0, 3, False),)),)
+        # Z_6 -> Z_2 x Z_4: the 3-block of the codomain is trivial
+        assert classify._block_plan((6,), (2, 4)) == \
+            ((2, (0, 1, 0, 1, 0, 1), ((0, 2, True), (1, 4, True))),)
+
+    @pytest.mark.parametrize("domain, codomain", PLAN_SHAPES)
+    def test_many_tables_of_one_shape(self, domain, codomain):
+        for f in _plan_tables(domain, codomain, 30, sum(domain + codomain)):
+            TestBlockScanDifferential._pinned(f)
+
+    def test_two_shapes_in_alternation(self):
+        for a, b in zip(PLAN_SHAPES, PLAN_SHAPES[1:]):
+            for f, g in zip(_plan_tables(*a, 12, 1), _plan_tables(*b, 12, 2)):
+                TestBlockScanDifferential._pinned(f)
+                TestBlockScanDifferential._pinned(g)
+
+
 def _witness_and_block_tables(f):
     """``represent(f)`` and the block tables it hands to the interpolation."""
     tables = []

@@ -73,9 +73,9 @@ from polyfract.calculus import (
     periodic_degree_bound,
 )
 from polyfract.classify import _representable_tables
-from polyfract.errors import PreconditionFailed
+from polyfract.errors import BadCodomain, MixedPrimes, PreconditionFailed
 from polyfract.exactnum import canonical, factorization
-from polyfract.lagrange import _weights
+from polyfract.lagrange import _plan, _weights
 
 from helpers import (
     binom_any,
@@ -295,6 +295,70 @@ class TestInterpolation:
         got = extend_information_coeffs(info, p, alpha, beta)
         assert got == ref.component_uni(0)
         assert len(got.coeffs) <= periodic_degree_bound(q, r) + 1
+
+
+# (domain, r): one axis and several, the same factors in both orders,
+# a trivial factor, an empty domain and the trivial codomain; neighbours
+# share a domain or a modulus, so a plan read for the wrong shape shows.
+PLAN_SHAPES = (((2,), 8), ((2,), 2), ((8,), 2), ((8,), 4), ((4, 2), 4), ((4, 2), 8),
+               ((2, 4), 8), ((3, 3), 9), ((3, 3), 3), ((9, 1), 3), ((1, 4), 2),
+               ((1, 4), 1), ((4,), 1), ((4,), 16), ((), 4), ((), 2), ((5, 25), 5),
+               ((5, 25), 25))
+# Shapes that are not single-prime, and the error each raises: the domain
+# is checked before the codomain, and before r = 1 is taken as trivial.
+BAD_PLANS = (((6,), 2, MixedPrimes, "domain modulus 6 is not a prime power"),
+             ((6,), 1, MixedPrimes, "domain modulus 6 is not a prime power"),
+             ((2, 3), 4, MixedPrimes, r"domain involves primes \[2, 3\]"),
+             ((4,), 12, BadCodomain, "codomain modulus 12 is not a prime power"),
+             ((4,), 0, BadCodomain, "codomain modulus 0 is not a prime power"),
+             ((4, 1), 9, BadCodomain, "codomain prime 3 differs from domain prime 2"))
+
+
+def _plan_tables(domain, r, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield FiniteFn(domain, (r,), columns=([rng.randrange(r) for _ in range(prod(domain))],))
+
+
+class TestInterpolationPlan:
+    """``interpolate_prime_power`` runs on a plan made once per (domain, r):
+    every table of a shape, and shapes called in alternation, must match
+    the cofract sum, and a shape that is not single-prime raises the same
+    error on every call."""
+
+    def test_axes_in_contraction_order(self):
+        axes, exponents = _plan((2, 4), 8)
+        assert [axis[0] for axis in axes] == [4, 2]
+        assert [axis[1:] for axis in axes] == [_weights(4, 8), _weights(2, 8)]
+        assert exponents == tuple(product(_weights(2, 8)[3], _weights(4, 8)[3]))
+        assert _plan((4,), 1) is None
+
+    @pytest.mark.parametrize("domain, r", PLAN_SHAPES)
+    def test_many_tables_of_one_shape(self, domain, r):
+        for f in _plan_tables(domain, r, 12, r + len(domain)):
+            assert interpolate_prime_power(f) == ref_interpolate_prime_power(f)
+
+    def test_shapes_in_alternation(self):
+        for a, b in zip(PLAN_SHAPES, PLAN_SHAPES[1:]):
+            for f, g in zip(_plan_tables(*a, 4, 1), _plan_tables(*b, 4, 2)):
+                assert interpolate_prime_power(f) == ref_interpolate_prime_power(f)
+                assert interpolate_prime_power(g) == ref_interpolate_prime_power(g)
+
+    def test_trivial_codomain_gives_zero(self):
+        for domain in ((4,), (3, 9), ()):
+            f = FiniteFn(domain, (1,), columns=([0] * prod(domain),))
+            assert interpolate_prime_power(f) == MultiPolyfract.zero((1,), len(domain))
+
+    @pytest.mark.parametrize("domain, r, error, message", BAD_PLANS)
+    def test_rejections_repeat(self, domain, r, error, message):
+        _plan.cache_clear()
+        f = FiniteFn(domain, (r,), columns=([0] * prod(domain),))
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{message}$"):
+                interpolate_prime_power(f)
+        interpolate_prime_power(FiniteFn((2,), (2,), columns=([0, 1],)))
+        with pytest.raises(error, match=f"^{message}$"):
+            interpolate_prime_power(f)
 
 
 MODULI = (0, 1, 2, 3, 4, 8, 9, 25, 27)

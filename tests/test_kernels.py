@@ -335,13 +335,17 @@ def _numerator_form(poly):
 
 class TestAbsentVariables:
     """The n-variable basis-change drivers skip every variable of largest
-    exponent 0; they must still agree with the Fraction references, and
-    reject a polynomial that is not integer valued with the same message."""
+    exponent 0 or 1; they must still agree with the Fraction references,
+    and reject a polynomial that is not integer valued with the same
+    message."""
 
     # x_1 of top 2 beside an absent x_2; only the middle variable; no
-    # variable at all; an absent middle variable
+    # variable at all; an absent middle variable; a linear x_1 beside x_2
+    # of top 2; every variable linear; one linear variable
     EXPAND = [{(2, 0): 3, (1, 0): -1, (0, 0): 5}, {(0, 3, 0): 2, (0, 1, 0): 1},
-              {(0, 0): 7}, {(1, 0, 2): 4, (0, 0, 1): -3}]
+              {(0, 0): 7}, {(1, 0, 2): 4, (0, 0, 1): -3},
+              {(1, 2): 3, (1, 0): -2, (0, 1): 5}, {(1, 1, 1): 4, (0, 1, 0): -1, (0, 0, 0): 2},
+              {(1,): 7, (0,): -7}]
 
     @pytest.mark.parametrize("int_terms", EXPAND)
     def test_expand_cases(self, int_terms):
@@ -357,13 +361,20 @@ class TestAbsentVariables:
 
     # x_1^2 / 2 beside an absent x_2 (integer valued), x_1 / 2 in the same
     # place (not), a constant 1/3 in two variables and in one, and
-    # (x_2^2 - x_2)/2 + 3 with x_1 and x_3 absent
+    # (x_2^2 - x_2)/2 + 3 with x_1 and x_3 absent; with linear variables:
+    # x_1 (x_2^2 - x_2)/2 (integer valued), x_1 x_2 / 2 and x_1 / 2 (not),
+    # 3 x_1 x_2 x_3 - x_2, and 2x/3 in one variable (not)
     BINOMIAL = [(2, {(2, 0): Fraction(1, 2), (1, 0): Fraction(-1, 2)}),
                 (2, {(2, 0): Fraction(1, 2)}),
                 (2, {(0, 0): Fraction(1, 3)}),
                 (1, {(0,): Fraction(1, 3), (2,): Fraction(1, 2)}),
                 (3, {(0, 2, 0): Fraction(1, 2), (0, 1, 0): Fraction(-1, 2),
-                     (0, 0, 0): Fraction(3)})]
+                     (0, 0, 0): Fraction(3)}),
+                (2, {(1, 2): Fraction(1, 2), (1, 1): Fraction(-1, 2)}),
+                (2, {(1, 1): Fraction(1, 2), (0, 1): Fraction(2)}),
+                (2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(1)}),
+                (3, {(1, 1, 1): Fraction(3), (0, 1, 0): Fraction(-1)}),
+                (1, {(1,): Fraction(2, 3)})]
 
     @pytest.mark.parametrize("nvars, poly", BINOMIAL)
     def test_binomial_cases(self, nvars, poly):

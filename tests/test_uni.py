@@ -5,7 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyfract import RationalPoly, Residue, UniPolyfract, coeffs_from_values
+from polyfract import (
+    DiffOp, FiniteFn, MultiPolyfract, RationalPoly, Residue, UniPolyfract, apply_diff,
+    coeffs_from_values, periodic_degree_bound, taylor_expand,
+)
 from polyfract.errors import ModulusMismatch, NotIntegerValued
 from polyfract.exactnum import as_integer, canonical
 
@@ -271,3 +274,42 @@ class TestStructure:
         ell = 5
         mono = UniPolyfract.monofract(ell + 1, 0)
         assert mono.difference() == UniPolyfract.monofract(ell, 0)
+
+
+BIG = 2**62 + 1  # past the packed kernel's widest lane: the list step
+
+
+class TestTrustedResults:
+    """``taylor_expand`` and ``MultiPolyfract.component_uni`` build their
+    results with ``UniPolyfract._trusted``; each must equal the checked
+    constructor's polyfract of the same coefficients, trailing zeros
+    included, with a tuple of ints."""
+
+    @staticmethod
+    def _same(got, modulus, coeffs):
+        want = UniPolyfract(modulus, tuple(coeffs))
+        assert got == want
+        assert type(got.coeffs) is tuple and all(type(c) is int for c in got.coeffs)
+
+    # (q, r, values, d): the walk's last coefficients vanish, or all of them
+    TAYLOR = [(3, 0, (0, 0, 0), 2), (4, 0, (-3, -3, -3, -3), 3), (2, 1, (0, 0), 4),
+              (2, 4, (1, 1), 5), (4, 4, (0, 2, 0, 2), 7), (4, 4, (3, 0, 1, 2), 5),
+              (5, BIG, tuple(BIG // 5 * x for x in range(5)), 9), (5, BIG, (7,) * 5, 4)]
+
+    @pytest.mark.parametrize("q, r, values, d", TAYLOR)
+    def test_taylor_expand(self, q, r, values, d):
+        f = FiniteFn.univariate(q, r, values)
+        steps = min(d, periodic_degree_bound(q, r)) + 1
+        coeffs, g = [], f
+        for _ in range(steps):
+            coeffs.append(g.values[0][0])
+            g = apply_diff(DiffOp("delta"), g)
+        assert g.is_zero() and (not coeffs[-1] or r == 0)
+        self._same(taylor_expand(f, d), r, coeffs)
+
+    def test_component_uni(self):
+        codomain = (0, 1, 4, BIG)
+        rows = {0: (5, 0, 3, BIG - 1), 1: (-2, 0, 0, 7), 3: (0, 0, 1, 0), 4: (0, 0, 0, 2)}
+        p = MultiPolyfract(codomain, 1, tuple(((d,), c) for d, c in rows.items()))
+        for i, r in enumerate(codomain):
+            self._same(p.component_uni(i), r, [rows.get(d, (0,) * 4)[i] for d in range(5)])
